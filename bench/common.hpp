@@ -11,6 +11,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -261,7 +262,9 @@ struct JsonBenchRecord {
   std::string shape;  // problem shape, e.g. "128x128x128"
   double ns_per_iter = 0.0;
   double gflops = 0.0;           // 0 when throughput is not meaningful
-  double allocs_per_iter = 0.0;  // Tensor heap allocations per iteration
+  // Tensor heap allocations per iteration; emitted only when measured, so
+  // the gate never pins a figure nobody counted.
+  std::optional<double> allocs_per_iter;
   // Counter-style records (e.g. fault statistics) carry a plain value with a
   // unit instead of a timing; a non-empty unit switches the emitted fields.
   double value = 0.0;
@@ -334,8 +337,10 @@ inline void append_bench_records(const std::vector<JsonBenchRecord>& records) {
     if (r.gflops > 0.0) {
       os << ", \"gflops\": " << std::setprecision(3) << r.gflops;
     }
-    os << ", \"allocs_per_iter\": " << std::setprecision(2)
-       << r.allocs_per_iter;
+    if (r.allocs_per_iter) {
+      os << ", \"allocs_per_iter\": " << std::setprecision(2)
+         << *r.allocs_per_iter;
+    }
     if (r.threads != 0) os << ", \"threads\": " << r.threads;
     if (r.grain != 0) os << ", \"grain\": " << r.grain;
     if (r.rss_kb > 0.0) {

@@ -166,7 +166,6 @@ void report(const std::string& algorithm,
       stage_record.op = "stage:" + algorithm + ":" + stage;
       stage_record.shape = shape;
       stage_record.ns_per_iter = seconds / static_cast<double>(rounds) * 1e9;
-      stage_record.allocs_per_iter = 0.0;
       stage_record.threads = effective_threads(t.threads);
       stage_record.grain = exec::kMinOpsPerLane;
       records.push_back(std::move(stage_record));

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "fedpkd/tensor/kernels.hpp"
+
 namespace fedpkd::nn {
 
 Optimizer::Optimizer(std::vector<Parameter*> params)
@@ -59,18 +61,17 @@ void Adam::step() {
   ++t_;
   const float bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_));
+  const tensor::kernels::AdamStep s{.lr = opts_.lr,
+                                    .beta1 = opts_.beta1,
+                                    .beta2 = opts_.beta2,
+                                    .eps = opts_.eps,
+                                    .weight_decay = opts_.weight_decay,
+                                    .bc1 = bc1,
+                                    .bc2 = bc2};
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    for (std::size_t k = 0; k < p.numel(); ++k) {
-      const float g = p.grad[k] + opts_.weight_decay * p.value[k];
-      m[k] = opts_.beta1 * m[k] + (1.0f - opts_.beta1) * g;
-      v[k] = opts_.beta2 * v[k] + (1.0f - opts_.beta2) * g * g;
-      const float mhat = m[k] / bc1;
-      const float vhat = v[k] / bc2;
-      p.value[k] -= opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
-    }
+    tensor::kernels::adam_update(p.value.data(), p.grad.data(), m_[i].data(),
+                                 v_[i].data(), p.numel(), s);
   }
 }
 

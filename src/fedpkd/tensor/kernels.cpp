@@ -32,9 +32,9 @@ constexpr std::size_t kNc = 8;
 /// cross-machine determinism.
 constexpr std::size_t kNcAvx = 16;
 
-// The AVX tile is compiled with a per-function target attribute and selected
-// at runtime, so the translation unit itself still builds for (and runs on)
-// baseline x86-64 SSE2.
+// The AVX tiles are compiled with a per-function target attribute and
+// selected at runtime, so the translation unit itself still builds for (and
+// runs on) baseline x86-64 SSE2.
 #if defined(__GNUC__) && defined(__x86_64__)
 #define FEDPKD_GEMM_AVX 1
 #endif
@@ -68,11 +68,12 @@ inline void store_tile(const float (&acc)[kMr][kNcAvx], const float* bias,
   }
 }
 
-/// Full kMr x kNc tile (the hot path). A is addressed through runtime strides
-/// so the same kernel serves A and A^T layouts. _mm_mul_ps/_mm_add_ps are
-/// elementwise IEEE float ops, so each output element still sees exactly the
-/// naive kernel's mul-add sequence in ascending kk order, and the av != 0
-/// guard is the naive kernels' zero-skip predicate.
+/// Full kMr x kNc SSE tile: every full row tile without AVX, and the 8..15
+/// columns left after the AVX strips with it. A is addressed through runtime
+/// strides so the same kernel serves A and A^T layouts. _mm_mul_ps and
+/// _mm_add_ps are elementwise IEEE float ops, so each output element still
+/// sees exactly the naive kernel's mul-add sequence in ascending kk order,
+/// and the av != 0 guard is the naive kernels' zero-skip predicate.
 template <Store kStore>
 inline void gemm_tile_full(const float* a, std::size_t a_row_stride,
                            std::size_t a_k_stride, const float* b,
@@ -138,31 +139,35 @@ inline bool cpu_has_avx() {
   return has;
 }
 
-/// AVX twin of gemm_tile_full: kMr x kNcAvx outputs, two 256-bit accumulators
-/// per row. Spelled out without helpers so the target attribute applies to
-/// every intrinsic. `store` is a runtime parameter (one branch per tile, after
-/// the k loop) instead of a template one so a single symbol carries the
-/// attribute. `b_strip` points at the tile's first B row (column j0 already
-/// applied) and advances by `b_stride` per kk — n for in-place B, kNcAvx for
-/// a packed strip. The packed layout holds identical values in the identical
-/// kk order, so both strides produce bitwise-identical output.
-__attribute__((target("avx"))) void gemm_tile_full_avx(
+/// AVX twin of gemm_tile_full: kRows x kNcAvx outputs, two 256-bit
+/// accumulators per row. kRows == kMr is the full tile; kRows 1..kMr-1 serve
+/// the row tail of a range, so a partial row tile stays on vector code. Only
+/// A rows [i0, i0 + kRows) are ever read. The row loops are unrolled
+/// completely, which is what lets the accumulator arrays live in registers
+/// (at kMr: 12 accumulators + 2 B vectors + the broadcast, as in the SSE
+/// tile); without the pragmas GCC 12 keeps them on the stack. Spelled out
+/// without helpers so the target attribute applies to every intrinsic.
+/// `store` is a runtime parameter (one branch per tile, after the k loop)
+/// instead of a template one so each row count is a single symbol carrying
+/// the attribute. `b_strip` points at the tile's first B row
+/// (column j0 already applied) and advances by `b_stride` per kk — n for
+/// in-place B, kNcAvx for a packed strip. The packed layout holds identical
+/// values in the identical kk order, so both strides produce bitwise-identical
+/// output.
+template <std::size_t kRows>
+__attribute__((target("avx"))) void gemm_tile_avx(
     const float* a, std::size_t a_row_stride, std::size_t a_k_stride,
     const float* b_strip, std::size_t b_stride, const float* bias, float* c,
     std::size_t k, std::size_t n, std::size_t i0, std::size_t j0,
     Store store) {
-  __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-  __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-  __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-  __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
-  __m256 acc40 = _mm256_setzero_ps(), acc41 = _mm256_setzero_ps();
-  __m256 acc50 = _mm256_setzero_ps(), acc51 = _mm256_setzero_ps();
-  const float* pa0 = a + (i0 + 0) * a_row_stride;
-  const float* pa1 = a + (i0 + 1) * a_row_stride;
-  const float* pa2 = a + (i0 + 2) * a_row_stride;
-  const float* pa3 = a + (i0 + 3) * a_row_stride;
-  const float* pa4 = a + (i0 + 4) * a_row_stride;
-  const float* pa5 = a + (i0 + 5) * a_row_stride;
+  __m256 lo[kRows], hi[kRows];
+  const float* pa[kRows];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kRows; ++r) {
+    lo[r] = _mm256_setzero_ps();
+    hi[r] = _mm256_setzero_ps();
+    pa[r] = a + (i0 + r) * a_row_stride;
+  }
   const float* brow = b_strip;
   for (std::size_t kk = 0; kk < k; ++kk, brow += b_stride) {
     // Pull the B rows a few iterations ahead into L1; with the packed strip
@@ -173,91 +178,42 @@ __attribute__((target("avx"))) void gemm_tile_full_avx(
     const __m256 b0 = _mm256_loadu_ps(brow);
     const __m256 b1 = _mm256_loadu_ps(brow + 8);
     const std::size_t ka = kk * a_k_stride;
-    if (!is_float_zero(pa0 + ka)) {
-      const __m256 v = _mm256_broadcast_ss(pa0 + ka);
-      acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(v, b0));
-      acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(v, b1));
-    }
-    if (!is_float_zero(pa1 + ka)) {
-      const __m256 v = _mm256_broadcast_ss(pa1 + ka);
-      acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(v, b0));
-      acc11 = _mm256_add_ps(acc11, _mm256_mul_ps(v, b1));
-    }
-    if (!is_float_zero(pa2 + ka)) {
-      const __m256 v = _mm256_broadcast_ss(pa2 + ka);
-      acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(v, b0));
-      acc21 = _mm256_add_ps(acc21, _mm256_mul_ps(v, b1));
-    }
-    if (!is_float_zero(pa3 + ka)) {
-      const __m256 v = _mm256_broadcast_ss(pa3 + ka);
-      acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(v, b0));
-      acc31 = _mm256_add_ps(acc31, _mm256_mul_ps(v, b1));
-    }
-    if (!is_float_zero(pa4 + ka)) {
-      const __m256 v = _mm256_broadcast_ss(pa4 + ka);
-      acc40 = _mm256_add_ps(acc40, _mm256_mul_ps(v, b0));
-      acc41 = _mm256_add_ps(acc41, _mm256_mul_ps(v, b1));
-    }
-    if (!is_float_zero(pa5 + ka)) {
-      const __m256 v = _mm256_broadcast_ss(pa5 + ka);
-      acc50 = _mm256_add_ps(acc50, _mm256_mul_ps(v, b0));
-      acc51 = _mm256_add_ps(acc51, _mm256_mul_ps(v, b1));
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < kRows; ++r) {
+      if (!is_float_zero(pa[r] + ka)) {
+        const __m256 v = _mm256_broadcast_ss(pa[r] + ka);
+        lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(v, b0));
+        hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(v, b1));
+      }
     }
   }
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  float* c4 = c + (i0 + 4) * n + j0;
-  float* c5 = c + (i0 + 5) * n + j0;
-  if (store == Store::kAssign) {
-    _mm256_storeu_ps(c0, acc00);
-    _mm256_storeu_ps(c0 + 8, acc01);
-    _mm256_storeu_ps(c1, acc10);
-    _mm256_storeu_ps(c1 + 8, acc11);
-    _mm256_storeu_ps(c2, acc20);
-    _mm256_storeu_ps(c2 + 8, acc21);
-    _mm256_storeu_ps(c3, acc30);
-    _mm256_storeu_ps(c3 + 8, acc31);
-    _mm256_storeu_ps(c4, acc40);
-    _mm256_storeu_ps(c4 + 8, acc41);
-    _mm256_storeu_ps(c5, acc50);
-    _mm256_storeu_ps(c5 + 8, acc51);
-  } else if (store == Store::kAddBias) {
-    const __m256 bias0 = _mm256_loadu_ps(bias + j0);
-    const __m256 bias1 = _mm256_loadu_ps(bias + j0 + 8);
-    _mm256_storeu_ps(c0, _mm256_add_ps(acc00, bias0));
-    _mm256_storeu_ps(c0 + 8, _mm256_add_ps(acc01, bias1));
-    _mm256_storeu_ps(c1, _mm256_add_ps(acc10, bias0));
-    _mm256_storeu_ps(c1 + 8, _mm256_add_ps(acc11, bias1));
-    _mm256_storeu_ps(c2, _mm256_add_ps(acc20, bias0));
-    _mm256_storeu_ps(c2 + 8, _mm256_add_ps(acc21, bias1));
-    _mm256_storeu_ps(c3, _mm256_add_ps(acc30, bias0));
-    _mm256_storeu_ps(c3 + 8, _mm256_add_ps(acc31, bias1));
-    _mm256_storeu_ps(c4, _mm256_add_ps(acc40, bias0));
-    _mm256_storeu_ps(c4 + 8, _mm256_add_ps(acc41, bias1));
-    _mm256_storeu_ps(c5, _mm256_add_ps(acc50, bias0));
-    _mm256_storeu_ps(c5 + 8, _mm256_add_ps(acc51, bias1));
-  } else {
-    // c += acc, keeping the original "c[j] += acc" operand order.
-    _mm256_storeu_ps(c0, _mm256_add_ps(_mm256_loadu_ps(c0), acc00));
-    _mm256_storeu_ps(c0 + 8, _mm256_add_ps(_mm256_loadu_ps(c0 + 8), acc01));
-    _mm256_storeu_ps(c1, _mm256_add_ps(_mm256_loadu_ps(c1), acc10));
-    _mm256_storeu_ps(c1 + 8, _mm256_add_ps(_mm256_loadu_ps(c1 + 8), acc11));
-    _mm256_storeu_ps(c2, _mm256_add_ps(_mm256_loadu_ps(c2), acc20));
-    _mm256_storeu_ps(c2 + 8, _mm256_add_ps(_mm256_loadu_ps(c2 + 8), acc21));
-    _mm256_storeu_ps(c3, _mm256_add_ps(_mm256_loadu_ps(c3), acc30));
-    _mm256_storeu_ps(c3 + 8, _mm256_add_ps(_mm256_loadu_ps(c3 + 8), acc31));
-    _mm256_storeu_ps(c4, _mm256_add_ps(_mm256_loadu_ps(c4), acc40));
-    _mm256_storeu_ps(c4 + 8, _mm256_add_ps(_mm256_loadu_ps(c4 + 8), acc41));
-    _mm256_storeu_ps(c5, _mm256_add_ps(_mm256_loadu_ps(c5), acc50));
-    _mm256_storeu_ps(c5 + 8, _mm256_add_ps(_mm256_loadu_ps(c5 + 8), acc51));
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kRows; ++r) {
+    float* crow = c + (i0 + r) * n + j0;
+    if (store == Store::kAssign) {
+      _mm256_storeu_ps(crow, lo[r]);
+      _mm256_storeu_ps(crow + 8, hi[r]);
+    } else if (store == Store::kAddBias) {
+      _mm256_storeu_ps(crow, _mm256_add_ps(lo[r], _mm256_loadu_ps(bias + j0)));
+      _mm256_storeu_ps(crow + 8,
+                       _mm256_add_ps(hi[r], _mm256_loadu_ps(bias + j0 + 8)));
+    } else {
+      // c += acc, keeping the original "c[j] += acc" operand order.
+      _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), lo[r]));
+      _mm256_storeu_ps(crow + 8,
+                       _mm256_add_ps(_mm256_loadu_ps(crow + 8), hi[r]));
+    }
   }
 }
 
-#else
+using AvxTile = void (*)(const float*, std::size_t, std::size_t, const float*,
+                         std::size_t, const float*, float*, std::size_t,
+                         std::size_t, std::size_t, std::size_t, Store);
 
-constexpr bool cpu_has_avx() { return false; }
+/// gemm_tile_avx by row count: kAvxTiles[mr] computes an mr x kNcAvx tile.
+constexpr AvxTile kAvxTiles[kMr + 1] = {
+    nullptr,          gemm_tile_avx<1>, gemm_tile_avx<2>, gemm_tile_avx<3>,
+    gemm_tile_avx<4>, gemm_tile_avx<5>, gemm_tile_avx<6>};
 
 #endif  // FEDPKD_GEMM_AVX
 
@@ -303,129 +259,72 @@ constexpr std::size_t kPackMinK = 64;
 
 #endif  // FEDPKD_GEMM_AVX
 
+/// Columns [j0, n) of the row tile at i0 once the AVX strips are done: SSE
+/// tiles while a full kMr x kNc tile fits, scalar edge tiles for the rest
+/// (partial rows without AVX, and the last < kNc columns).
+template <Store kStore>
+void gemm_tile_columns(const float* a, std::size_t a_row_stride,
+                       std::size_t a_k_stride, const float* b,
+                       const float* bias, float* c, std::size_t k,
+                       std::size_t n, std::size_t i0, std::size_t mr,
+                       std::size_t j0) {
+  for (; j0 + kNc <= n; j0 += kNc) {
+    if (mr == kMr) {
+      gemm_tile_full<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
+                             j0);
+    } else {
+      gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
+                             mr, j0, kNc);
+    }
+  }
+  if (j0 < n) {
+    gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
+                           mr, j0, n - j0);
+  }
+}
+
 template <Store kStore>
 void gemm_rows(const float* a, std::size_t a_row_stride,
                std::size_t a_k_stride, const float* b, const float* bias,
                float* c, std::size_t k, std::size_t n, std::size_t row_begin,
                std::size_t row_end) {
-  const bool avx = cpu_has_avx();
+  std::size_t avx_cols = 0;  // columns [0, avx_cols) go through AVX tiles
 #if FEDPKD_GEMM_AVX
+  if (cpu_has_avx()) avx_cols = n / kNcAvx * kNcAvx;
   // Cache-blocked K-packing: with enough full row tiles in this chunk, pack
-  // each 16-column B strip contiguously once and stream every row tile over
-  // it. The strip loop becomes sequential loads that the prefetches above
-  // keep one line ahead, instead of k strided touches per tile.
+  // each 16-column B strip contiguously once and stream every row tile —
+  // the row tail included — over it. The strip loop becomes sequential loads
+  // that the prefetches above keep one line ahead, instead of k strided
+  // touches per tile.
   const std::size_t full_tiles = (row_end - row_begin) / kMr;
-  if (avx && full_tiles >= kPackMinRowTiles && k >= kPackMinK &&
-      n >= kNcAvx) {
+  if (avx_cols != 0 && full_tiles >= kPackMinRowTiles && k >= kPackMinK) {
     Workspace::Scope scope(Workspace::per_thread());
     float* packed = scope.take(k * kNcAvx).data();
-    const std::size_t row_full_end = row_begin + full_tiles * kMr;
-    std::size_t j0 = 0;
-    for (; j0 + kNcAvx <= n; j0 += kNcAvx) {
+    for (std::size_t j0 = 0; j0 < avx_cols; j0 += kNcAvx) {
       pack_b_strip(b, n, k, j0, packed);
-      for (std::size_t i0 = row_begin; i0 < row_full_end; i0 += kMr) {
-        gemm_tile_full_avx(a, a_row_stride, a_k_stride, packed, kNcAvx, bias,
-                           c, k, n, i0, j0, kStore);
+      for (std::size_t i0 = row_begin; i0 < row_end; i0 += kMr) {
+        const std::size_t mr = std::min(kMr, row_end - i0);
+        kAvxTiles[mr](a, a_row_stride, a_k_stride, packed, kNcAvx, bias, c, k,
+                      n, i0, j0, kStore);
       }
     }
-    // Column tail of the full row tiles: same SSE/edge tiles as the
-    // non-packed path.
-    for (std::size_t i0 = row_begin; i0 < row_full_end; i0 += kMr) {
-      std::size_t jj = j0;
-      for (; jj + kNc <= n; jj += kNc) {
-        gemm_tile_full<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
-                               i0, jj);
-      }
-      if (jj < n) {
-        gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
-                               i0, kMr, jj, n - jj);
-      }
-    }
-    // Row tail (fewer than kMr rows): edge tiles across all columns.
-    if (row_full_end < row_end) {
-      const std::size_t mr = row_end - row_full_end;
-      std::size_t jj = 0;
-      for (; jj + kNc <= n; jj += kNc) {
-        gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
-                               row_full_end, mr, jj, kNc);
-      }
-      if (jj < n) {
-        gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
-                               row_full_end, mr, jj, n - jj);
-      }
+    for (std::size_t i0 = row_begin; i0 < row_end; i0 += kMr) {
+      gemm_tile_columns<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
+                                i0, std::min(kMr, row_end - i0), avx_cols);
     }
     return;
   }
 #endif
   for (std::size_t i0 = row_begin; i0 < row_end; i0 += kMr) {
     const std::size_t mr = std::min(kMr, row_end - i0);
-    std::size_t j0 = 0;
-    if (mr == kMr) {
 #if FEDPKD_GEMM_AVX
-      if (avx) {
-        for (; j0 + kNcAvx <= n; j0 += kNcAvx) {
-          gemm_tile_full_avx(a, a_row_stride, a_k_stride, b + j0, n, bias, c,
-                             k, n, i0, j0, kStore);
-        }
-      }
-#else
-      (void)avx;
+    for (std::size_t j0 = 0; j0 < avx_cols; j0 += kNcAvx) {
+      kAvxTiles[mr](a, a_row_stride, a_k_stride, b + j0, n, bias, c, k, n, i0,
+                    j0, kStore);
+    }
 #endif
-      for (; j0 + kNc <= n; j0 += kNc) {
-        gemm_tile_full<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
-                               i0, j0);
-      }
-    } else {
-      for (; j0 + kNc <= n; j0 += kNc) {
-        gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
-                               i0, mr, j0, kNc);
-      }
-    }
-    if (j0 < n) {
-      gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
-                             mr, j0, n - j0);
-    }
-  }
-}
-
-/// matmul_transpose_b register tile: kMrTb x kNcTb independent dot products
-/// advance together over kk, so every loaded A/B value feeds kNcTb (resp.
-/// kMrTb) accumulators and the per-chain add latency is hidden by 16
-/// independent chains. Each accumulator still sums kk ascending.
-constexpr std::size_t kMrTb = 4;
-constexpr std::size_t kNcTb = 4;
-
-inline void tb_tile_full(const float* a, const float* b, float* c,
-                         std::size_t k, std::size_t n, std::size_t i0,
-                         std::size_t j0) {
-  float acc[kMrTb][kNcTb] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    float bv[kNcTb];
-    for (std::size_t j = 0; j < kNcTb; ++j) bv[j] = b[(j0 + j) * k + kk];
-    for (std::size_t i = 0; i < kMrTb; ++i) {
-      const float av = a[(i0 + i) * k + kk];
-      for (std::size_t j = 0; j < kNcTb; ++j) acc[i][j] += av * bv[j];
-    }
-  }
-  for (std::size_t i = 0; i < kMrTb; ++i) {
-    for (std::size_t j = 0; j < kNcTb; ++j) c[(i0 + i) * n + j0 + j] = acc[i][j];
-  }
-}
-
-inline void tb_tile_edge(const float* a, const float* b, float* c,
-                         std::size_t k, std::size_t n, std::size_t i0,
-                         std::size_t mr, std::size_t j0, std::size_t nc) {
-  float acc[kMrTb][kNcTb] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    for (std::size_t i = 0; i < mr; ++i) {
-      const float av = a[(i0 + i) * k + kk];
-      for (std::size_t j = 0; j < nc; ++j) {
-        acc[i][j] += av * b[(j0 + j) * k + kk];
-      }
-    }
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    for (std::size_t j = 0; j < nc; ++j) c[(i0 + i) * n + j0 + j] = acc[i][j];
+    gemm_tile_columns<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
+                              mr, avx_cols);
   }
 }
 
@@ -455,26 +354,6 @@ void matmul_ta_acc_rows(const float* a, const float* b, float* c,
                         std::size_t row_begin, std::size_t row_end) {
   gemm_rows<Store::kAccumulate>(a, 1, m, b, nullptr, c, k, n, row_begin,
                                 row_end);
-}
-
-void matmul_tb_rows(const float* a, const float* b, float* c, std::size_t k,
-                    std::size_t n, std::size_t row_begin,
-                    std::size_t row_end) {
-  for (std::size_t i0 = row_begin; i0 < row_end; i0 += kMrTb) {
-    const std::size_t mr = std::min(kMrTb, row_end - i0);
-    if (mr < kMrTb) {
-      // Partial row blocks go through the scalar per-row loop: GCC 12's SLP
-      // vectorizer pair-loads A rows past the runtime `mr` bound in
-      // tb_tile_edge, reading past the end of A when the tail row ends a
-      // page. The accumulation order (kk ascending per output element) is
-      // identical, so results are bitwise unchanged.
-      matmul_tb_rows_naive(a, b, c, k, n, i0, i0 + mr);
-      continue;
-    }
-    std::size_t j0 = 0;
-    for (; j0 + kNcTb <= n; j0 += kNcTb) tb_tile_full(a, b, c, k, n, i0, j0);
-    if (j0 < n) tb_tile_edge(a, b, c, k, n, i0, kMrTb, j0, n - j0);
-  }
 }
 
 /// -- Naive references (the pre-blocking kernels, kept verbatim) --------------
@@ -522,6 +401,52 @@ void matmul_tb_rows_naive(const float* a, const float* b, float* c,
       for (std::size_t kk = 0; kk < k; ++kk) acc += pa[kk] * pb[kk];
       po[j] = acc;
     }
+  }
+}
+
+void adam_update(float* value, const float* grad, float* m, float* v,
+                 std::size_t n, const AdamStep& s) {
+  // Every lane runs the scalar expression tree of adam_update_naive with the
+  // same operand order: _mm_{add,sub,mul,div,sqrt}_ps are the correctly
+  // rounded IEEE ops of their scalar twins, and no FMA is ever formed.
+  const __m128 wd = _mm_set1_ps(s.weight_decay);
+  const __m128 beta1 = _mm_set1_ps(s.beta1);
+  const __m128 beta2 = _mm_set1_ps(s.beta2);
+  const __m128 one_minus_beta1 = _mm_set1_ps(1.0f - s.beta1);
+  const __m128 one_minus_beta2 = _mm_set1_ps(1.0f - s.beta2);
+  const __m128 bc1 = _mm_set1_ps(s.bc1);
+  const __m128 bc2 = _mm_set1_ps(s.bc2);
+  const __m128 lr = _mm_set1_ps(s.lr);
+  const __m128 eps = _mm_set1_ps(s.eps);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 w = _mm_loadu_ps(value + i);
+    const __m128 g = _mm_add_ps(_mm_loadu_ps(grad + i), _mm_mul_ps(wd, w));
+    const __m128 mi = _mm_add_ps(_mm_mul_ps(beta1, _mm_loadu_ps(m + i)),
+                                 _mm_mul_ps(one_minus_beta1, g));
+    const __m128 vi =
+        _mm_add_ps(_mm_mul_ps(beta2, _mm_loadu_ps(v + i)),
+                   _mm_mul_ps(_mm_mul_ps(one_minus_beta2, g), g));
+    _mm_storeu_ps(m + i, mi);
+    _mm_storeu_ps(v + i, vi);
+    const __m128 mhat = _mm_div_ps(mi, bc1);
+    const __m128 vhat = _mm_div_ps(vi, bc2);
+    const __m128 step = _mm_div_ps(_mm_mul_ps(lr, mhat),
+                                   _mm_add_ps(_mm_sqrt_ps(vhat), eps));
+    _mm_storeu_ps(value + i, _mm_sub_ps(w, step));
+  }
+  adam_update_naive(value + i, grad + i, m + i, v + i, n - i, s);
+}
+
+void adam_update_naive(float* value, const float* grad, float* m, float* v,
+                       std::size_t n, const AdamStep& s) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const float g = grad[k] + s.weight_decay * value[k];
+    m[k] = s.beta1 * m[k] + (1.0f - s.beta1) * g;
+    v[k] = s.beta2 * v[k] + (1.0f - s.beta2) * g * g;
+    const float mhat = m[k] / s.bc1;
+    const float vhat = v[k] / s.bc2;
+    value[k] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
   }
 }
 

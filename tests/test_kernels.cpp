@@ -8,9 +8,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/tensor/kernels.hpp"
+#include "fedpkd/tensor/ops.hpp"
 #include "fedpkd/tensor/rng.hpp"
 
 namespace {
@@ -21,13 +25,17 @@ struct GemmShape {
   std::size_t m, k, n;
 };
 
-// Tile sizes are 4x16 (matmul / ta) and 4x4 (tb), with k blocked at 512; the
-// list covers exact multiples, ragged remainders in every dimension, and the
-// m=1 / k=1 degenerate cases the training loop actually produces.
+// Register tiles are 6x16 (AVX) and 6x8 (SSE) with a scalar edge tile for
+// the last < 8 columns, and a chunk of >= 12 rows with k >= 64 and n >= 16
+// streams packed B strips. The list covers exact multiples, ragged
+// remainders in every dimension, the packed path, and the m=1 / k=1
+// degenerate cases the training loop actually produces.
 const std::vector<GemmShape> kShapes = {
-    {1, 1, 1},   {1, 5, 3},    {5, 17, 9},   {4, 8, 16},
-    {33, 33, 33}, {64, 48, 56}, {7, 1, 19},   {1, 64, 64},
-    {13, 700, 5},  // k spans two 512-deep blocks
+    {1, 1, 1},    {1, 5, 3},    {5, 17, 9}, {4, 8, 16},
+    {33, 33, 33}, {64, 48, 56}, {7, 1, 19}, {1, 64, 64},
+    {13, 700, 5},   // deep k over a column tail only
+    {32, 96, 96},   // the server distillation shape: packed, 2-row tail
+    {24, 64, 48},   // packed, no row tail
 };
 
 std::vector<float> random_values(std::size_t count, std::uint64_t seed,
@@ -85,20 +93,115 @@ TEST(BlockedKernels, MatmulTransposeAMatchesNaiveBitwise) {
   }
 }
 
+Tensor tensor_of(std::size_t rows, std::size_t cols,
+                 const std::vector<float>& values) {
+  Tensor t({rows, cols});
+  std::memcpy(t.data(), values.data(), values.size() * sizeof(float));
+  return t;
+}
+
 TEST(BlockedKernels, MatmulTransposeBMatchesNaiveBitwise) {
-  for (bool zeros : {false, true}) {
-    for (const GemmShape& s : kShapes) {
-      const auto a = random_values(s.m * s.k, 53 + s.m, zeros);
-      // B is stored [n, k] for the transpose-B product.
-      const auto b = random_values(s.n * s.k, 61 + s.k, zeros);
-      std::vector<float> blocked(s.m * s.n, -1.0f);
-      std::vector<float> naive(s.m * s.n, -2.0f);
-      kernels::matmul_tb_rows(a.data(), b.data(), blocked.data(), s.k, s.n, 0,
-                              s.m);
-      kernels::matmul_tb_rows_naive(a.data(), b.data(), naive.data(), s.k, s.n,
-                                    0, s.m);
-      EXPECT_TRUE(bitwise_equal(blocked, naive))
-          << "m=" << s.m << " k=" << s.k << " n=" << s.n << " zeros=" << zeros;
+  // matmul_transpose_b_into transposes B and runs the matmul tiles; with
+  // finite inputs that is the naive dot-product loop bit for bit, at any
+  // lane count (at 4 lanes the row chunks of {32, 96, 96} end in partial
+  // row tiles).
+  for (std::size_t threads : {1u, 4u}) {
+    fedpkd::exec::set_num_threads(threads);
+    for (bool zeros : {false, true}) {
+      for (const GemmShape& s : kShapes) {
+        const auto a = random_values(s.m * s.k, 53 + s.m, zeros);
+        // B is stored [n, k] for the transpose-B product.
+        const auto b = random_values(s.n * s.k, 61 + s.k, zeros);
+        Tensor out;
+        matmul_transpose_b_into(tensor_of(s.m, s.k, a), tensor_of(s.n, s.k, b),
+                                out);
+        std::vector<float> naive(s.m * s.n, -2.0f);
+        kernels::matmul_tb_rows_naive(a.data(), b.data(), naive.data(), s.k,
+                                      s.n, 0, s.m);
+        EXPECT_TRUE(bitwise_equal(
+            std::vector<float>(out.data(), out.data() + out.numel()), naive))
+            << "m=" << s.m << " k=" << s.k << " n=" << s.n
+            << " zeros=" << zeros << " threads=" << threads;
+      }
+    }
+  }
+  fedpkd::exec::set_num_threads(1);
+}
+
+TEST(BlockedKernels, MatmulTransposeBSkipsZeroAAgainstNonFiniteB) {
+  // The matmul zero-skip rule: a zero in A contributes nothing, even against
+  // an infinite or NaN B element, where the naive loop's 0 * inf = NaN would
+  // poison the sum. A non-zero A element still propagates the non-finite B.
+  const std::size_t m = 8, k = 20, n = 18;
+  for (float bad : {std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    auto a = random_values(m * k, 171, false);
+    auto b = random_values(n * k, 173, false);
+    a[2 * k + 5] = 0.0f;  // row 2 skips kk = 5
+    b[7 * k + 5] = bad;   // column 7 is non-finite at kk = 5
+    Tensor out;
+    matmul_transpose_b_into(tensor_of(m, k, a), tensor_of(n, k, b), out);
+    // Reference: the naive loop with the skipped product removed.
+    auto b_clean = b;
+    b_clean[7 * k + 5] = 0.0f;
+    std::vector<float> expected(m * n);
+    kernels::matmul_tb_rows_naive(a.data(), b_clean.data(), expected.data(), k,
+                                  n, 0, m);
+    EXPECT_TRUE(std::isfinite(out.data()[2 * n + 7]));
+    EXPECT_EQ(std::memcmp(out.data() + 2 * n, expected.data() + 2 * n,
+                          n * sizeof(float)),
+              0);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i != 2) {
+        EXPECT_FALSE(std::isfinite(out.data()[i * n + 7])) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST(BlockedKernels, RowTailsMatchNaiveBitwise) {
+  // A row range that is not a multiple of the 6-row tile ends in a 1..5-row
+  // tail, which the AVX path runs on its own tile over every full 16-column
+  // strip — in place (a range of just the tail) and over packed strips (12
+  // full rows first, k >= 64). Each A buffer ends exactly at the range's last
+  // row, so a tile reading past it trips AddressSanitizer.
+  for (std::size_t tail = 1; tail <= 5; ++tail) {
+    for (std::size_t full_rows : {0u, 12u}) {
+      for (std::size_t n : {16u, 35u, 48u}) {
+        const std::size_t m = full_rows + tail, k = 70;
+        const std::string where = "tail=" + std::to_string(tail) +
+                                  " full_rows=" + std::to_string(full_rows) +
+                                  " n=" + std::to_string(n);
+        const auto a = random_values(m * k, 181 + tail, true);
+        const auto b = random_values(k * n, 191 + n, false);
+        const auto bias = random_values(n, 193, false);
+
+        std::vector<float> naive(m * n);
+        kernels::matmul_rows_naive(a.data(), b.data(), naive.data(), k, n, 0,
+                                   m);
+        std::vector<float> out(m * n, -1.0f);
+        kernels::matmul_rows(a.data(), b.data(), out.data(), k, n, 0, m);
+        EXPECT_TRUE(bitwise_equal(out, naive)) << "matmul " << where;
+
+        kernels::matmul_bias_rows(a.data(), b.data(), bias.data(), out.data(),
+                                  k, n, 0, m);
+        std::vector<float> with_bias = naive;
+        for (std::size_t i = 0; i < m * n; ++i) with_bias[i] += bias[i % n];
+        EXPECT_TRUE(bitwise_equal(out, with_bias)) << "bias " << where;
+
+        // Transpose-A accumulate: A^T is [k, m], so its rows are A's columns.
+        const auto at = random_values(k * m, 197 + tail, true);
+        std::vector<float> product(m * n);
+        kernels::matmul_ta_rows_naive(at.data(), b.data(), product.data(), k,
+                                      m, n, 0, m);
+        const auto initial = random_values(m * n, 199, false);
+        std::vector<float> acc = initial;
+        kernels::matmul_ta_acc_rows(at.data(), b.data(), acc.data(), k, m, n,
+                                    0, m);
+        std::vector<float> expected = initial;
+        for (std::size_t i = 0; i < m * n; ++i) expected[i] += product[i];
+        EXPECT_TRUE(bitwise_equal(acc, expected)) << "ta_acc " << where;
+      }
     }
   }
 }
@@ -257,6 +360,38 @@ TEST(FusedKernels, LogSoftmaxHoistedDivideMatchesPerUseDivide) {
     kernels::log_softmax_rows(aliased.data(), aliased.data(), m, n,
                               temperature);
     EXPECT_TRUE(bitwise_equal(aliased, reference));
+  }
+}
+
+TEST(FusedKernels, AdamUpdateMatchesNaiveBitwise) {
+  // The SSE update runs the scalar expression tree lane by lane, so values
+  // and both moments match the per-element loop bit for bit over several
+  // steps, for lengths with and without a scalar tail.
+  for (std::size_t n : {1u, 3u, 4u, 5u, 4097u}) {
+    for (float weight_decay : {0.0f, 0.01f}) {
+      auto value = random_values(n, 211 + n, true);
+      std::vector<float> m(n, 0.0f), v(n, 0.0f);
+      auto value_ref = value;
+      auto m_ref = m, v_ref = v;
+      for (int t = 1; t <= 4; ++t) {
+        const auto grad = random_values(n, 223 + t, t == 2);
+        const kernels::AdamStep s{
+            .lr = 1e-3f,
+            .beta1 = 0.9f,
+            .beta2 = 0.999f,
+            .eps = 1e-8f,
+            .weight_decay = weight_decay,
+            .bc1 = 1.0f - std::pow(0.9f, static_cast<float>(t)),
+            .bc2 = 1.0f - std::pow(0.999f, static_cast<float>(t))};
+        kernels::adam_update(value.data(), grad.data(), m.data(), v.data(), n,
+                             s);
+        kernels::adam_update_naive(value_ref.data(), grad.data(), m_ref.data(),
+                                   v_ref.data(), n, s);
+        EXPECT_TRUE(bitwise_equal(value, value_ref) &&
+                    bitwise_equal(m, m_ref) && bitwise_equal(v, v_ref))
+            << "n=" << n << " wd=" << weight_decay << " step=" << t;
+      }
+    }
   }
 }
 
