@@ -3,10 +3,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/trainer.hpp"
 #include "fedpkd/nn/loss.hpp"
 #include "fedpkd/nn/model_zoo.hpp"
 #include "fedpkd/nn/optimizer.hpp"
+#include "fedpkd/nn/train_step.hpp"
 #include "json_reporter.hpp"
 
 namespace {
@@ -28,28 +30,35 @@ void BM_ForwardBatch32(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardBatch32)->DenseRange(0, 3);
 
+/// One shared training step (nn::TrainStep, the step every training loop
+/// runs) at batch 32. Args: arch (0 = resmlp20, 1 = resmlp56), lanes.
 void BM_TrainStepBatch32(benchmark::State& state) {
+  const std::string arch = state.range(0) == 0 ? "resmlp20" : "resmlp56";
+  exec::set_num_threads(static_cast<std::size_t>(state.range(1)));
   Rng rng(2);
-  nn::Classifier model = nn::make_classifier("resmlp20", 32, 10, rng);
+  nn::Classifier model = nn::make_classifier(arch, 32, 10, rng);
   nn::Adam adam(model.parameters());
+  nn::TrainStep step(model, adam);
   const Tensor x = Tensor::randn({32, 32}, rng);
   std::vector<int> y(32);
   for (std::size_t i = 0; i < 32; ++i) y[i] = static_cast<int>(i % 10);
+  const auto cross_entropy = [&](const Tensor& logits, const Tensor&) {
+    nn::LossResult ce = nn::softmax_cross_entropy(logits, y);
+    return nn::StepLoss{ce.value, std::move(ce.grad)};
+  };
+  step.run(x, cross_entropy);  // warm-up: shapes the step buffers
   const auto allocs_before = Tensor::allocation_count();
   for (auto _ : state) {
-    adam.zero_grad();
-    Tensor logits = model.forward(x, /*train=*/true);
-    auto [loss, grad] = nn::softmax_cross_entropy(logits, y);
-    model.backward(grad);
-    adam.step();
-    benchmark::DoNotOptimize(loss);
+    benchmark::DoNotOptimize(step.run(x, cross_entropy));
   }
-  state.SetLabel("resmlp20,batch=32");
+  state.SetLabel(arch + ",batch=32,lanes=" +
+                 std::to_string(exec::num_threads()));
   state.counters["allocs_per_iter"] =
       static_cast<double>(Tensor::allocation_count() - allocs_before) /
       static_cast<double>(state.iterations());
+  exec::set_num_threads(1);
 }
-BENCHMARK(BM_TrainStepBatch32);
+BENCHMARK(BM_TrainStepBatch32)->ArgsProduct({{0, 1}, {1, 4}});
 
 void BM_FeatureExtraction(benchmark::State& state) {
   Rng rng(3);

@@ -4,9 +4,9 @@
 #include <stdexcept>
 
 #include "fedpkd/data/loader.hpp"
-#include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/nn/loss.hpp"
 #include "fedpkd/nn/optimizer.hpp"
+#include "fedpkd/nn/train_step.hpp"
 #include "fedpkd/tensor/ops.hpp"
 
 namespace fedpkd::core {
@@ -39,6 +39,7 @@ fl::TrainStats server_ensemble_distill(Classifier& server_model,
 
   data::Dataset wrapper(inputs, pseudo_labels, teacher_probs.cols());
   nn::Adam optimizer(server_model.parameters(), {.lr = options.lr});
+  nn::TrainStep step(server_model, optimizer);
   data::DataLoader loader(wrapper, options.batch_size, rng.split(0x73727664));
 
   // Per-sample confidence weights for the extension (mean-1 normalized per
@@ -61,94 +62,69 @@ fl::TrainStats server_ensemble_distill(Classifier& server_model,
   data::Batch batch;
   Tensor teacher;
   Tensor grad_features;
+  const auto distill_loss = [&](const Tensor& logits, const Tensor& features) {
+    // L_kd (Eq. 11): KL(S || M_G) + CE(M_G, pseudo), both on this batch.
+    auto [kl, grad_kl] =
+        nn::kl_distillation(logits, teacher, options.temperature);
+    auto [ce, grad_ce] = nn::softmax_cross_entropy(logits, batch.y);
+    nn::StepLoss out{options.delta * (kl + ce), std::move(grad_kl)};
+    Tensor& grad_logits = out.grad_logits;
+    tensor::add_inplace(grad_logits, grad_ce);
+    tensor::scale_inplace(grad_logits, options.delta);
+
+    if (options.confidence_weighted) {
+      double mean_w = 0.0;
+      for (std::size_t r = 0; r < batch.size(); ++r) {
+        mean_w += confidence[batch.indices[r]];
+      }
+      mean_w /= static_cast<double>(batch.size());
+      const std::size_t cols = grad_logits.cols();
+      for (std::size_t r = 0; r < batch.size(); ++r) {
+        const float w =
+            static_cast<float>(confidence[batch.indices[r]] / mean_w);
+        float* g = grad_logits.data() + r * cols;
+        for (std::size_t c = 0; c < cols; ++c) g[c] *= w;
+      }
+    }
+
+    // L_p (Eq. 12): pull each sample's feature vector toward the global
+    // prototype of its pseudo-label.
+    if (options.use_prototype_loss && options.delta < 1.0f) {
+      grad_features.ensure_shape(features.shape());
+      grad_features.zero();  // rows whose prototype class is absent stay 0
+      // Each row's squared error is summed in double, then added to the
+      // total in row order.
+      double mse = 0.0;
+      std::size_t counted = 0;
+      for (std::size_t r = 0; r < features.rows(); ++r) {
+        const auto cls = static_cast<std::size_t>(batch.y[r]);
+        if (!global_prototypes.present[cls]) continue;
+        counted += feature_dim;
+        double acc = 0.0;
+        for (std::size_t c = 0; c < feature_dim; ++c) {
+          const float diff = features[r * feature_dim + c] -
+                             global_prototypes.matrix[cls * feature_dim + c];
+          acc += static_cast<double>(diff) * diff;
+          grad_features[r * feature_dim + c] = 2.0f * diff;
+        }
+        mse += acc;
+      }
+      if (counted > 0) {
+        const float inv = 1.0f / static_cast<float>(counted);
+        const float scale = (1.0f - options.delta) * inv;
+        tensor::scale_inplace(grad_features, scale);
+        out.value += (1.0f - options.delta) *
+                     static_cast<float>(mse / static_cast<double>(counted));
+        out.grad_features = &grad_features;
+      }
+    }
+    return out;
+  };
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     loader.reset();
     while (loader.next(batch)) {
-      optimizer.zero_grad();
       teacher_probs.gather_rows_into(batch.indices, teacher);
-      Tensor logits = server_model.forward(batch.x, /*train=*/true);
-
-      // L_kd (Eq. 11): KL(S || M_G) + CE(M_G, pseudo), both on this batch.
-      auto [kl, grad_kl] =
-          nn::kl_distillation(logits, teacher, options.temperature);
-      auto [ce, grad_ce] = nn::softmax_cross_entropy(logits, batch.y);
-      float loss = options.delta * (kl + ce);
-      Tensor grad_logits = std::move(grad_kl);
-      tensor::add_inplace(grad_logits, grad_ce);
-      tensor::scale_inplace(grad_logits, options.delta);
-
-      if (options.confidence_weighted) {
-        double mean_w = 0.0;
-        for (std::size_t r = 0; r < batch.size(); ++r) {
-          mean_w += confidence[batch.indices[r]];
-        }
-        mean_w /= static_cast<double>(batch.size());
-        const std::size_t cols = grad_logits.cols();
-        // Row-parallel: every row's scale depends only on its own index. At
-        // ~cols ops per row a distill batch never clears the grain, so this
-        // stays inline — kept as parallel_for for when batches grow.
-        exec::parallel_for(
-            batch.size(), exec::grain_for_cost(cols),
-            [&](std::size_t row_begin, std::size_t row_end) {
-              for (std::size_t r = row_begin; r < row_end; ++r) {
-                const float w = static_cast<float>(
-                    confidence[batch.indices[r]] / mean_w);
-                float* g = grad_logits.data() + r * cols;
-                for (std::size_t c = 0; c < cols; ++c) g[c] *= w;
-              }
-            });
-      }
-
-      // L_p (Eq. 12): pull each sample's feature vector toward the global
-      // prototype of its pseudo-label.
-      if (options.use_prototype_loss && options.delta < 1.0f) {
-        const Tensor& features = server_model.last_features();
-        grad_features.ensure_shape(features.shape());
-        grad_features.zero();  // rows whose prototype class is absent stay 0
-        const std::size_t b = features.rows();
-        // Rows are independent: each lane writes its own gradient rows and a
-        // per-row MSE partial; the partials reduce serially in row order so
-        // the loss is identical for every thread count.
-        std::vector<double> row_mse(b, 0.0);
-        std::vector<std::size_t> row_counted(b, 0);
-        exec::parallel_for(b, exec::grain_for_cost(feature_dim * 4),
-                           [&](std::size_t row_begin, std::size_t row_end) {
-          for (std::size_t r = row_begin; r < row_end; ++r) {
-            const auto cls = static_cast<std::size_t>(batch.y[r]);
-            if (!global_prototypes.present[cls]) continue;
-            row_counted[r] = feature_dim;
-            double acc = 0.0;
-            for (std::size_t c = 0; c < feature_dim; ++c) {
-              const float diff =
-                  features[r * feature_dim + c] -
-                  global_prototypes.matrix[cls * feature_dim + c];
-              acc += static_cast<double>(diff) * diff;
-              grad_features[r * feature_dim + c] = 2.0f * diff;
-            }
-            row_mse[r] = acc;
-          }
-        });
-        double mse = 0.0;
-        std::size_t counted = 0;
-        for (std::size_t r = 0; r < b; ++r) {
-          mse += row_mse[r];
-          counted += row_counted[r];
-        }
-        if (counted > 0) {
-          const float inv = 1.0f / static_cast<float>(counted);
-          const float scale = (1.0f - options.delta) * inv;
-          tensor::scale_inplace(grad_features, scale);
-          loss += (1.0f - options.delta) *
-                  static_cast<float>(mse / static_cast<double>(counted));
-          server_model.backward(grad_logits, &grad_features);
-        } else {
-          server_model.backward(grad_logits);
-        }
-      } else {
-        server_model.backward(grad_logits);
-      }
-
-      optimizer.step();
+      const float loss = step.run(batch.x, distill_loss);
       ++stats.steps;
       stats.final_loss = loss;
       loss_sum += loss;

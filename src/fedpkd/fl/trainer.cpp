@@ -5,6 +5,7 @@
 #include "fedpkd/data/loader.hpp"
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/nn/optimizer.hpp"
+#include "fedpkd/nn/train_step.hpp"
 #include "fedpkd/tensor/ops.hpp"
 
 namespace fedpkd::fl {
@@ -81,8 +82,10 @@ TrainStats train_supervised(Classifier& model, const data::Dataset& dataset,
   }
   exec::ScopedThreadLimit thread_limit(options.num_threads);
   nn::Adam optimizer(model.parameters(), {.lr = options.lr});
+  nn::TrainStep step(model, optimizer);
   const Tensor reference =
       options.proximal_mu ? model.flat_weights() : Tensor{};
+  if (options.proximal_mu) step.set_proximal(reference, *options.proximal_mu);
 
   data::DataLoader loader(dataset, options.batch_size, rng.split(0x7261696e));
   TrainStats stats;
@@ -95,31 +98,23 @@ TrainStats train_supervised(Classifier& model, const data::Dataset& dataset,
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     loader.reset();
     while (loader.next(batch)) {
-      optimizer.zero_grad();
-      Tensor logits = model.forward(batch.x, /*train=*/true);
-      auto [ce, grad_logits] = nn::softmax_cross_entropy(logits, batch.y);
-      float loss = ce;
-
-      if (options.prototype_matrix != nullptr) {
-        gather_prototype_targets(options, batch.y, model.feature_dim(), proto);
-        if (proto.any) {
-          const float mse_loss =
-              masked_feature_mse(model.last_features(), proto, grad_features);
-          loss += options.prototype_epsilon * mse_loss;
-          tensor::scale_inplace(grad_features, options.prototype_epsilon);
-          model.backward(grad_logits, &grad_features);
-        } else {
-          model.backward(grad_logits);
+      const float loss = step.run(batch.x, [&](const Tensor& logits,
+                                               const Tensor& features) {
+        auto [ce, grad_logits] = nn::softmax_cross_entropy(logits, batch.y);
+        nn::StepLoss out{ce, std::move(grad_logits)};
+        if (options.prototype_matrix != nullptr) {
+          gather_prototype_targets(options, batch.y, model.feature_dim(),
+                                   proto);
+          if (proto.any) {
+            const float mse_loss =
+                masked_feature_mse(features, proto, grad_features);
+            out.value += options.prototype_epsilon * mse_loss;
+            tensor::scale_inplace(grad_features, options.prototype_epsilon);
+            out.grad_features = &grad_features;
+          }
         }
-      } else {
-        model.backward(grad_logits);
-      }
-
-      if (options.proximal_mu) {
-        nn::add_proximal_gradient(model.parameters(), reference,
-                                  *options.proximal_mu);
-      }
-      optimizer.step();
+        return out;
+      });
       ++stats.steps;
       stats.final_loss = loss;
       loss_sum += loss;
@@ -151,6 +146,7 @@ TrainStats train_distill(Classifier& model, const DistillSet& set, float gamma,
   data::Dataset wrapper(set.inputs, set.pseudo_labels,
                         set.teacher_probs.cols());
   nn::Adam optimizer(model.parameters(), {.lr = options.lr});
+  nn::TrainStep step(model, optimizer);
   data::DataLoader loader(wrapper, options.batch_size, rng.split(0x64697374));
 
   TrainStats stats;
@@ -160,23 +156,22 @@ TrainStats train_distill(Classifier& model, const DistillSet& set, float gamma,
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     loader.reset();
     while (loader.next(batch)) {
-      optimizer.zero_grad();
       set.teacher_probs.gather_rows_into(batch.indices, teacher);
-      Tensor logits = model.forward(batch.x, /*train=*/true);
-
-      auto [kl, grad_kl] = nn::kl_distillation(logits, teacher, temperature);
-      float loss = gamma * kl;
-      if (gamma < 1.0f) {
-        auto [ce, grad_ce] = nn::softmax_cross_entropy(logits, batch.y);
-        loss += (1.0f - gamma) * ce;
-        // Fused: grad = gamma * grad_kl + (1 - gamma) * grad_ce, rounding
-        // exactly like the scale_inplace + axpy_inplace pair it replaces.
-        tensor::scale_add_inplace(grad_kl, gamma, grad_ce, 1.0f - gamma);
-      } else {
-        tensor::scale_inplace(grad_kl, gamma);
-      }
-      model.backward(grad_kl);
-      optimizer.step();
+      const float loss = step.run(batch.x, [&](const Tensor& logits,
+                                               const Tensor&) {
+        auto [kl, grad_kl] = nn::kl_distillation(logits, teacher, temperature);
+        float value = gamma * kl;
+        if (gamma < 1.0f) {
+          auto [ce, grad_ce] = nn::softmax_cross_entropy(logits, batch.y);
+          value += (1.0f - gamma) * ce;
+          // Fused: grad = gamma * grad_kl + (1 - gamma) * grad_ce, rounding
+          // exactly like the scale_inplace + axpy_inplace pair it replaces.
+          tensor::scale_add_inplace(grad_kl, gamma, grad_ce, 1.0f - gamma);
+        } else {
+          tensor::scale_inplace(grad_kl, gamma);
+        }
+        return nn::StepLoss{value, std::move(grad_kl)};
+      });
       ++stats.steps;
       stats.final_loss = loss;
       loss_sum += loss;
@@ -213,6 +208,7 @@ Tensor batched_apply(const Tensor& inputs, std::size_t batch_size,
       out.set_row(start + i, block.row(i));
     }
   }
+  nn::EvalScratch::release_unused();
   return out;
 }
 

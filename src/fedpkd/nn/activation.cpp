@@ -1,68 +1,60 @@
 #include "fedpkd/nn/activation.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace fedpkd::nn {
 
-Tensor Relu::forward(const Tensor& x, bool train) {
-  if (train) cached_input_ = x;
-  Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  }
-  return y;
+namespace {
+
+/// Elementwise f over elements [begin, end) of `x` into `y`.
+template <typename F>
+void map_range(const float* x, float* y, std::size_t begin, std::size_t end,
+               F&& f) {
+  for (std::size_t i = begin; i < end; ++i) y[i] = f(x[i]);
 }
+
+float relu(float v) { return v > 0.0f ? v : 0.0f; }
+
+float tanh_of(float v) { return std::tanh(v); }
+
+}  // namespace
 
 void Relu::forward_eval_into(const Tensor& x, Tensor& out) {
   out.ensure_shape(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  }
+  map_range(x.data(), out.data(), 0, x.numel(), relu);
 }
 
-Tensor Relu::backward(const Tensor& grad_out) {
-  if (cached_input_.empty()) {
-    throw std::logic_error("Relu::backward called before forward(train)");
+void Relu::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
+  const std::size_t n = y_.cols();
+  map_range(x.data(), y_.data(), r0 * n, r1 * n, relu);
+}
+
+void Relu::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
+  const std::size_t n = y_.cols();
+  for (std::size_t i = r0 * n; i < r1 * n; ++i) {
+    gx_[i] = y_[i] > 0.0f ? gy[i] : 0.0f;
   }
-  if (!grad_out.same_shape(cached_input_)) {
-    throw std::invalid_argument("Relu::backward: grad shape mismatch");
-  }
-  Tensor g(grad_out.shape());
-  for (std::size_t i = 0; i < grad_out.numel(); ++i) {
-    g[i] = cached_input_[i] > 0.0f ? grad_out[i] : 0.0f;
-  }
-  return g;
 }
 
 std::unique_ptr<Module> Relu::clone() const {
   return std::make_unique<Relu>();
 }
 
-Tensor Tanh::forward(const Tensor& x, bool train) {
-  Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) y[i] = std::tanh(x[i]);
-  if (train) cached_output_ = y;
-  return y;
-}
-
 void Tanh::forward_eval_into(const Tensor& x, Tensor& out) {
   out.ensure_shape(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) out[i] = std::tanh(x[i]);
+  map_range(x.data(), out.data(), 0, x.numel(), tanh_of);
 }
 
-Tensor Tanh::backward(const Tensor& grad_out) {
-  if (cached_output_.empty()) {
-    throw std::logic_error("Tanh::backward called before forward(train)");
+void Tanh::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
+  const std::size_t n = y_.cols();
+  map_range(x.data(), y_.data(), r0 * n, r1 * n, tanh_of);
+}
+
+void Tanh::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
+  const std::size_t n = y_.cols();
+  for (std::size_t i = r0 * n; i < r1 * n; ++i) {
+    gx_[i] = gy[i] * (1.0f - y_[i] * y_[i]);
   }
-  if (!grad_out.same_shape(cached_output_)) {
-    throw std::invalid_argument("Tanh::backward: grad shape mismatch");
-  }
-  Tensor g(grad_out.shape());
-  for (std::size_t i = 0; i < grad_out.numel(); ++i) {
-    g[i] = grad_out[i] * (1.0f - cached_output_[i] * cached_output_[i]);
-  }
-  return g;
 }
 
 std::unique_ptr<Module> Tanh::clone() const {

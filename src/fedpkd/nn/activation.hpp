@@ -9,13 +9,12 @@ class Relu final : public Module {
  public:
   Relu() = default;
 
-  Tensor forward(const Tensor& x, bool train = true) override;
   void forward_eval_into(const Tensor& x, Tensor& out) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  /// Masks with y > 0, which holds exactly where x > 0.
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
   std::unique_ptr<Module> clone() const override;
-
- private:
-  Tensor cached_input_;
 };
 
 /// Elementwise hyperbolic tangent: y = tanh(x).
@@ -23,13 +22,11 @@ class Tanh final : public Module {
  public:
   Tanh() = default;
 
-  Tensor forward(const Tensor& x, bool train = true) override;
   void forward_eval_into(const Tensor& x, Tensor& out) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
   std::unique_ptr<Module> clone() const override;
-
- private:
-  Tensor cached_output_;
 };
 
 }  // namespace fedpkd::nn

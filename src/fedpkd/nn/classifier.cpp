@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "fedpkd/tensor/ops.hpp"
-
 namespace fedpkd::nn {
 
 Classifier::Classifier(std::string arch_name, std::unique_ptr<Module> body,
@@ -17,37 +15,51 @@ Classifier::Classifier(std::string arch_name, std::unique_ptr<Module> body,
   }
 }
 
-void Classifier::compute_features(const Tensor& x, bool train) {
+void Classifier::check_input(const Tensor& x, const char* who) const {
   if (x.rank() != 2 || x.cols() != input_dim_) {
-    throw std::invalid_argument("Classifier::features: expected [batch, " +
+    throw std::invalid_argument(std::string(who) + ": expected [batch, " +
                                 std::to_string(input_dim_) + "], got " +
                                 x.shape_string());
   }
-  last_features_ = body_->forward(x, train);
-  forward_through_head_ = false;
+}
+
+void Classifier::check_grad(const Tensor& g, const Tensor& like,
+                            const char* what) {
+  if (like.empty()) {
+    throw std::logic_error(std::string(what) + ": no cached training pass");
+  }
+  if (!g.same_shape(like)) {
+    throw std::invalid_argument(std::string(what) + ": gradient shape " +
+                                g.shape_string() + " vs " +
+                                like.shape_string());
+  }
 }
 
 Tensor Classifier::features(const Tensor& x, bool train) {
-  compute_features(x, train);
-  return last_features_;
+  check_input(x, "Classifier::features");
+  if (!train) return body_->forward(x, /*train=*/false);
+  body_->prepare(x.rows(), x.cols());
+  body_->forward_rows(x, 0, x.rows());
+  forward_through_head_ = false;
+  return body_->output();
 }
 
 Tensor Classifier::forward(const Tensor& x, bool train) {
-  // Feeds the cached features straight to the head instead of copying them
-  // through the features() return value.
-  compute_features(x, train);
-  forward_through_head_ = true;
-  return head_->forward(last_features_, train);
+  if (!train) {
+    Tensor out;
+    logits_into(x, out);
+    return out;
+  }
+  prepare(x);
+  forward_rows(x, 0, x.rows());
+  return logits();
 }
 
 void Classifier::logits_into(const Tensor& x, Tensor& out) {
-  if (x.rank() != 2 || x.cols() != input_dim_) {
-    throw std::invalid_argument("Classifier::features: expected [batch, " +
-                                std::to_string(input_dim_) + "], got " +
-                                x.shape_string());
-  }
-  body_->forward_eval_into(x, eval_features_);
-  head_->forward_eval_into(eval_features_, out);
+  check_input(x, "Classifier::logits_into");
+  EvalScratch scratch;
+  body_->forward_eval_into(x, scratch.a());
+  head_->forward_eval_into(scratch.a(), out);
 }
 
 void Classifier::backward(const Tensor& grad_logits,
@@ -56,25 +68,67 @@ void Classifier::backward(const Tensor& grad_logits,
     throw std::logic_error(
         "Classifier::backward: no cached forward pass through the head");
   }
-  Tensor grad_features = head_->backward(grad_logits);
+  check_grad(grad_logits, logits(), "Classifier::backward");
   if (grad_features_extra != nullptr) {
-    tensor::add_inplace(grad_features, *grad_features_extra);
+    check_grad(*grad_features_extra, last_features(), "Classifier::backward");
   }
-  body_->backward(grad_features);
+  backward_rows(grad_logits, grad_features_extra, 0, grad_logits.rows());
+  for (const GradJob& job : grad_jobs()) job.owner->accumulate_grad(*job.param);
 }
 
 void Classifier::backward_features(const Tensor& grad_features) {
-  if (last_features_.empty()) {
-    throw std::logic_error(
-        "Classifier::backward_features: no cached feature pass");
-  }
+  check_grad(grad_features, last_features(),
+             "Classifier::backward_features");
   body_->backward(grad_features);
+}
+
+void Classifier::prepare(const Tensor& x) {
+  check_input(x, "Classifier::forward");
+  const std::size_t m = x.rows();
+  body_->prepare(m, input_dim_);
+  head_->prepare(m, body_->output().cols());
+  grad_features_.ensure_shape({m, feature_dim()});
+  forward_through_head_ = true;
+}
+
+void Classifier::forward_rows(const Tensor& x, std::size_t r0,
+                              std::size_t r1) {
+  body_->forward_rows(x, r0, r1);
+  head_->forward_rows(body_->output(), r0, r1);
+}
+
+void Classifier::backward_rows(const Tensor& grad_logits,
+                               const Tensor* grad_features_extra,
+                               std::size_t r0, std::size_t r1) {
+  head_->backward_rows(grad_logits, r0, r1);
+  const Tensor* grad_features = &head_->input_grad();
+  if (grad_features_extra != nullptr) {
+    const std::size_t n = grad_features_.cols();
+    for (std::size_t i = r0 * n; i < r1 * n; ++i) {
+      grad_features_[i] = (*grad_features)[i] + (*grad_features_extra)[i];
+    }
+    grad_features = &grad_features_;
+  }
+  body_->backward_rows(*grad_features, r0, r1);
+}
+
+std::vector<GradJob> Classifier::grad_jobs() {
+  std::vector<GradJob> jobs;
+  body_->collect_grad_jobs(jobs);
+  head_->collect_grad_jobs(jobs);
+  return jobs;
+}
+
+void Classifier::release_step_buffers() {
+  body_->release_step_buffers();
+  head_->release_step_buffers();
+  grad_features_ = Tensor();
+  forward_through_head_ = false;
 }
 
 std::vector<Parameter*> Classifier::parameters() {
   std::vector<Parameter*> out;
-  body_->collect_parameters(out);
-  head_->collect_parameters(out);
+  for (const GradJob& job : grad_jobs()) out.push_back(job.param);
   return out;
 }
 

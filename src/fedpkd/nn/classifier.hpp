@@ -27,30 +27,31 @@ class Classifier {
   Classifier(Classifier&&) noexcept = default;
   Classifier& operator=(Classifier&&) noexcept = default;
 
-  /// -- Forward ---------------------------------------------------------------
+  /// -- Whole-batch passes ----------------------------------------------------
 
   /// Penultimate-layer features R_w(x): [batch, feature_dim].
-  /// With train == true, caches state so backward() can run.
+  /// With train == true, runs the body's training pass so backward_features()
+  /// can follow.
   Tensor features(const Tensor& x, bool train = true);
 
-  /// Full forward to logits: [batch, num_classes]. Caches like features().
+  /// Full forward to logits: [batch, num_classes]. With train == true this is
+  /// prepare() plus forward_rows() over every row.
   Tensor forward(const Tensor& x, bool train = true);
 
   /// Inference-only logits written into `out` (allocation-free after
-  /// warm-up). Bitwise equal to forward(x, /*train=*/false), but leaves
-  /// last_features_ and the backward bookkeeping untouched, so it can be
-  /// interleaved with training passes. `out` must not alias `x`.
+  /// warm-up). Bitwise equal to forward(x, /*train=*/false) and leaves the
+  /// step buffers untouched, so it can be interleaved with training passes.
+  /// `out` must not alias `x`.
   void logits_into(const Tensor& x, Tensor& out);
 
-  /// Features produced by the most recent forward()/features() call.
-  const Tensor& last_features() const { return last_features_; }
+  /// Features of the most recent training pass (the body's output buffer).
+  const Tensor& last_features() const { return body_->output(); }
 
-  /// -- Backward ---------------------------------------------------------------
-
-  /// Backpropagates a logits gradient through head and body. If
-  /// `grad_features_extra` is non-null it is added to the gradient arriving at
-  /// the feature layer — this is how the MSE prototype losses couple in
-  /// without a second pass. Requires a prior forward(x, train=true).
+  /// Backpropagates a logits gradient through head and body over every row,
+  /// then accumulates (+=) every parameter gradient. If `grad_features_extra`
+  /// is non-null it is added to the gradient arriving at the feature layer —
+  /// this is how the MSE prototype losses couple in without a second pass.
+  /// Requires a prior forward(x, train=true) with `x` still alive.
   void backward(const Tensor& grad_logits,
                 const Tensor* grad_features_extra = nullptr);
 
@@ -58,7 +59,25 @@ class Classifier {
   /// (for feature-only objectives). Requires features(x, train=true).
   void backward_features(const Tensor& grad_features);
 
-  /// -- Parameters ---------------------------------------------------------------
+  /// -- Row-phased training step (nn::TrainStep drives these) -----------------
+
+  /// Validates the [m, input_dim] batch and shapes every step buffer. Serial.
+  void prepare(const Tensor& x);
+  /// Body then head over rows [r0, r1) of the batch `x` given to prepare().
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1);
+  /// The step's full-batch logits.
+  const Tensor& logits() const { return head_->output(); }
+  /// Head then body over rows [r0, r1); `grad_features_extra` (or null) is
+  /// added at the feature layer. Parameter gradients are left to the jobs.
+  void backward_rows(const Tensor& grad_logits,
+                     const Tensor* grad_features_extra, std::size_t r0,
+                     std::size_t r1);
+  /// One gradient job per parameter, in parameters() order.
+  std::vector<GradJob> grad_jobs();
+  /// Frees every step buffer of body and head.
+  void release_step_buffers();
+
+  /// -- Parameters ------------------------------------------------------------
 
   std::vector<Parameter*> parameters();
   void zero_grad();
@@ -69,7 +88,7 @@ class Classifier {
   Tensor flat_weights();
   void set_flat_weights(const Tensor& flat);
 
-  /// -- Introspection ---------------------------------------------------------------
+  /// -- Introspection ---------------------------------------------------------
 
   const std::string& arch() const { return arch_; }
   /// Structural access for cross-model fusion (fl::CohortStepper inspects the
@@ -83,15 +102,18 @@ class Classifier {
   Classifier clone() const;
 
  private:
-  /// Runs the body and refreshes last_features_ without copying it out.
-  void compute_features(const Tensor& x, bool train);
+  /// Throws std::invalid_argument, naming `who`, unless x is
+  /// [batch, input_dim].
+  void check_input(const Tensor& x, const char* who) const;
+  /// Throws unless `g` matches the step buffer `like` (logic_error before a
+  /// training pass).
+  static void check_grad(const Tensor& g, const Tensor& like, const char* what);
 
   std::string arch_;
   std::unique_ptr<Module> body_;
   std::unique_ptr<Linear> head_;
   std::size_t input_dim_;
-  Tensor last_features_;
-  Tensor eval_features_;  // logits_into scratch, separate from backward state
+  Tensor grad_features_;  // [m, feature_dim] head gradient + extra
   bool forward_through_head_ = false;
 };
 

@@ -1,9 +1,11 @@
 #include "fedpkd/nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "fedpkd/tensor/ops.hpp"
+#include "fedpkd/tensor/kernels.hpp"
+#include "fedpkd/tensor/workspace.hpp"
 
 namespace fedpkd::nn {
 
@@ -53,14 +55,7 @@ Conv2d::Conv2d(ImageShape input, ImageShape output, std::size_t kernel,
       weight_(std::move(w)),
       bias_(std::move(b)) {}
 
-void Conv2d::im2col(const float* sample, Tensor& columns) const {
-  const std::size_t positions = output_.height * output_.width;
-  const std::size_t patch = input_.channels * kernel_ * kernel_;
-  if (columns.rank() != 2 || columns.rows() != positions ||
-      columns.cols() != patch) {
-    throw std::logic_error("Conv2d::im2col: bad buffer shape");
-  }
-  float* out = columns.data();
+void Conv2d::im2col(const float* sample, float* out) const {
   for (std::size_t oy = 0; oy < output_.height; ++oy) {
     for (std::size_t ox = 0; ox < output_.width; ++ox) {
       for (std::size_t c = 0; c < input_.channels; ++c) {
@@ -88,8 +83,7 @@ void Conv2d::im2col(const float* sample, Tensor& columns) const {
   }
 }
 
-void Conv2d::col2im(const Tensor& columns, float* sample_grad) const {
-  const float* in = columns.data();
+void Conv2d::col2im(const float* in, float* sample_grad) const {
   for (std::size_t oy = 0; oy < output_.height; ++oy) {
     for (std::size_t ox = 0; ox < output_.width; ++ox) {
       for (std::size_t c = 0; c < input_.channels; ++c) {
@@ -116,70 +110,128 @@ void Conv2d::col2im(const Tensor& columns, float* sample_grad) const {
   }
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
+namespace {
+
+/// Position-major [positions, out_ch] copy of one sample's channel-major
+/// output gradient.
+void position_major(const float* g, float* gpm, std::size_t positions,
+                    std::size_t channels) {
+  for (std::size_t p = 0; p < positions; ++p) {
+    for (std::size_t oc = 0; oc < channels; ++oc) {
+      gpm[p * channels + oc] = g[oc * positions + p];
+    }
+  }
+}
+
+}  // namespace
+
+void Conv2d::forward_samples(const Tensor& x, float* y, std::size_t r0,
+                             std::size_t r1) const {
+  const std::size_t positions = this->positions(), patch = this->patch();
+  tensor::Workspace::Scope scope(tensor::Workspace::per_thread());
+  float* columns = scope.take(positions * patch).data();
+  float* product = scope.take(positions * output_.channels).data();
+  for (std::size_t b = r0; b < r1; ++b) {
+    im2col(x.data() + b * input_.numel(), columns);
+    // [positions, patch] x [patch, out_ch] -> [positions, out_ch].
+    tensor::kernels::matmul_rows(columns, weight_.value.data(), product, patch,
+                                 output_.channels, 0, positions);
+    // Transpose to channel-major C,H,W rows expected by downstream layers.
+    float* dst = y + b * output_.numel();
+    for (std::size_t p = 0; p < positions; ++p) {
+      for (std::size_t oc = 0; oc < output_.channels; ++oc) {
+        dst[oc * positions + p] =
+            product[p * output_.channels + oc] + bias_.value[oc];
+      }
+    }
+  }
+}
+
+void Conv2d::forward_eval_into(const Tensor& x, Tensor& out) {
   if (x.rank() != 2 || x.cols() != input_.numel()) {
     throw std::invalid_argument("Conv2d::forward: expected [batch, " +
                                 std::to_string(input_.numel()) + "], got " +
                                 x.shape_string());
   }
-  if (train) cached_input_ = x;
-  const std::size_t batch = x.rows();
-  const std::size_t positions = output_.height * output_.width;
-  Tensor y({batch, output_.numel()});
-  columns_.ensure_shape({positions, input_.channels * kernel_ * kernel_});
-  for (std::size_t b = 0; b < batch; ++b) {
-    im2col(x.data() + b * input_.numel(), columns_);
-    // [positions, patch] x [patch, out_ch] -> [positions, out_ch].
-    tensor::matmul_into(columns_, weight_.value, matmul_out_);
-    // Transpose to channel-major C,H,W rows expected by downstream layers.
-    float* dst = y.data() + b * output_.numel();
-    for (std::size_t p = 0; p < positions; ++p) {
-      for (std::size_t oc = 0; oc < output_.channels; ++oc) {
-        dst[oc * positions + p] = matmul_out_[p * output_.channels + oc] +
-                                  bias_.value[oc];
-      }
-    }
-  }
-  return y;
+  out.ensure_shape({x.rows(), output_.numel()});
+  forward_samples(x, out.data(), 0, x.rows());
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  if (cached_input_.empty()) {
-    throw std::logic_error("Conv2d::backward called before forward(train)");
+void Conv2d::prepare(std::size_t m, std::size_t in_cols) {
+  if (in_cols != input_.numel()) {
+    throw std::invalid_argument("Conv2d::forward: expected [batch, " +
+                                std::to_string(input_.numel()) + "], got [" +
+                                std::to_string(m) + ", " +
+                                std::to_string(in_cols) + "]");
   }
-  if (grad_out.rank() != 2 || grad_out.cols() != output_.numel() ||
-      grad_out.rows() != cached_input_.rows()) {
-    throw std::invalid_argument("Conv2d::backward: grad shape " +
-                                grad_out.shape_string());
-  }
-  const std::size_t batch = cached_input_.rows();
-  const std::size_t positions = output_.height * output_.width;
-  const std::size_t patch = input_.channels * kernel_ * kernel_;
-  Tensor grad_in({batch, input_.numel()});
-  columns_.ensure_shape({positions, patch});
-  gout_pm_.ensure_shape({positions, output_.channels});  // position-major view
-  for (std::size_t b = 0; b < batch; ++b) {
-    // Rebuild the patch matrix (recompute beats caching batch x positions x
-    // patch floats for memory locality at these sizes).
-    im2col(cached_input_.data() + b * input_.numel(), columns_);
-    const float* g = grad_out.data() + b * output_.numel();
-    for (std::size_t p = 0; p < positions; ++p) {
-      for (std::size_t oc = 0; oc < output_.channels; ++oc) {
-        gout_pm_[p * output_.channels + oc] = g[oc * positions + p];
-      }
-    }
-    // dW += columns^T x gout; db += column sums; dx = gout x W^T -> col2im.
-    tensor::matmul_transpose_a_accumulate(columns_, gout_pm_, weight_.grad);
-    tensor::sum_rows_accumulate(gout_pm_, bias_.grad);
-    tensor::matmul_transpose_b_into(gout_pm_, weight_.value, dcolumns_);
-    col2im(dcolumns_, grad_in.data() + b * input_.numel());
-  }
-  return grad_in;
+  y_.ensure_shape({m, output_.numel()});
+  gx_.ensure_shape({m, input_.numel()});
 }
 
-void Conv2d::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&weight_);
-  out.push_back(&bias_);
+void Conv2d::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
+  if (r0 == 0) x_ = &x;
+  forward_samples(x, y_.data(), r0, r1);
+}
+
+void Conv2d::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
+  if (r0 == 0) gy_ = &gy;
+  const std::size_t positions = this->positions(), patch = this->patch();
+  const std::size_t channels = output_.channels;
+  tensor::Workspace::Scope scope(tensor::Workspace::per_thread());
+  // dx = gout W^T -> col2im, with W transposed once for all of this lane's
+  // samples (the route of ops::matmul_transpose_b_into).
+  float* wt = scope.take(patch * channels).data();
+  tensor::kernels::transpose_blocked(weight_.value.data(), wt, patch, channels);
+  float* gpm = scope.take(positions * channels).data();
+  float* dcolumns = scope.take(positions * patch).data();
+  for (std::size_t b = r0; b < r1; ++b) {
+    position_major(gy.data() + b * output_.numel(), gpm, positions, channels);
+    tensor::kernels::matmul_rows(gpm, wt, dcolumns, channels, patch, 0,
+                                 positions);
+    float* dx = gx_.data() + b * input_.numel();
+    std::fill(dx, dx + input_.numel(), 0.0f);
+    col2im(dcolumns, dx);
+  }
+}
+
+void Conv2d::collect_grad_jobs(std::vector<GradJob>& out) {
+  out.push_back({this, &weight_});
+  out.push_back({this, &bias_});
+}
+
+void Conv2d::accumulate_grad(Parameter& p) {
+  const std::size_t positions = this->positions(), patch = this->patch();
+  const std::size_t channels = output_.channels;
+  const std::size_t batch = gy_->rows();
+  if (&p == &bias_) {
+    // db += per-sample column sums of the position-major gradient.
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* g = gy_->data() + b * output_.numel();
+      for (std::size_t oc = 0; oc < channels; ++oc) {
+        float sum = 0.0f;
+        const float* plane = g + oc * positions;
+        for (std::size_t q = 0; q < positions; ++q) sum += plane[q];
+        bias_.grad[oc] += sum;
+      }
+    }
+    return;
+  }
+  if (&p != &weight_) {
+    Module::accumulate_grad(p);
+    return;
+  }
+  // dW += columns^T gout, sample by sample (recomputing the patch matrix
+  // beats caching batch x positions x patch floats at these sizes).
+  tensor::Workspace::Scope scope(tensor::Workspace::per_thread());
+  float* columns = scope.take(positions * patch).data();
+  float* gpm = scope.take(positions * channels).data();
+  for (std::size_t b = 0; b < batch; ++b) {
+    im2col(x_->data() + b * input_.numel(), columns);
+    position_major(gy_->data() + b * output_.numel(), gpm, positions,
+                   channels);
+    tensor::kernels::matmul_ta_acc_rows(columns, gpm, weight_.grad.data(),
+                                        positions, patch, channels, 0, patch);
+  }
 }
 
 std::unique_ptr<Module> Conv2d::clone() const {
@@ -195,16 +247,11 @@ GlobalAvgPool::GlobalAvgPool(ImageShape input) : input_(input) {
   }
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
-  if (x.rank() != 2 || x.cols() != input_.numel()) {
-    throw std::invalid_argument("GlobalAvgPool::forward: bad input " +
-                                x.shape_string());
-  }
-  if (train) cached_batch_ = x.rows();
+void GlobalAvgPool::pool_rows(const Tensor& x, float* y, std::size_t r0,
+                              std::size_t r1) const {
   const std::size_t plane = input_.height * input_.width;
-  Tensor y({x.rows(), input_.channels});
   const float inv = 1.0f / static_cast<float>(plane);
-  for (std::size_t b = 0; b < x.rows(); ++b) {
+  for (std::size_t b = r0; b < r1; ++b) {
     const float* src = x.data() + b * input_.numel();
     for (std::size_t c = 0; c < input_.channels; ++c) {
       double acc = 0.0;
@@ -212,28 +259,42 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
       y[b * input_.channels + c] = static_cast<float>(acc) * inv;
     }
   }
-  return y;
 }
 
-Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  if (cached_batch_ == 0) {
-    throw std::logic_error("GlobalAvgPool::backward before forward(train)");
+void GlobalAvgPool::forward_eval_into(const Tensor& x, Tensor& out) {
+  if (x.rank() != 2 || x.cols() != input_.numel()) {
+    throw std::invalid_argument("GlobalAvgPool::forward: bad input " +
+                                x.shape_string());
   }
-  if (grad_out.rank() != 2 || grad_out.cols() != input_.channels ||
-      grad_out.rows() != cached_batch_) {
-    throw std::invalid_argument("GlobalAvgPool::backward: grad shape");
+  out.ensure_shape({x.rows(), input_.channels});
+  pool_rows(x, out.data(), 0, x.rows());
+}
+
+void GlobalAvgPool::prepare(std::size_t m, std::size_t in_cols) {
+  if (in_cols != input_.numel()) {
+    throw std::invalid_argument("GlobalAvgPool::forward: bad input width " +
+                                std::to_string(in_cols));
   }
+  y_.ensure_shape({m, input_.channels});
+  gx_.ensure_shape({m, input_.numel()});
+}
+
+void GlobalAvgPool::forward_rows(const Tensor& x, std::size_t r0,
+                                 std::size_t r1) {
+  pool_rows(x, y_.data(), r0, r1);
+}
+
+void GlobalAvgPool::backward_rows(const Tensor& gy, std::size_t r0,
+                                  std::size_t r1) {
   const std::size_t plane = input_.height * input_.width;
   const float inv = 1.0f / static_cast<float>(plane);
-  Tensor g({grad_out.rows(), input_.numel()});
-  for (std::size_t b = 0; b < grad_out.rows(); ++b) {
-    float* dst = g.data() + b * input_.numel();
+  for (std::size_t b = r0; b < r1; ++b) {
+    float* dst = gx_.data() + b * input_.numel();
     for (std::size_t c = 0; c < input_.channels; ++c) {
-      const float v = grad_out[b * input_.channels + c] * inv;
+      const float v = gy[b * input_.channels + c] * inv;
       for (std::size_t p = 0; p < plane; ++p) dst[c * plane + p] = v;
     }
   }
-  return g;
 }
 
 std::unique_ptr<Module> GlobalAvgPool::clone() const {
@@ -248,16 +309,11 @@ AvgPool2x2::AvgPool2x2(ImageShape input)
   }
 }
 
-Tensor AvgPool2x2::forward(const Tensor& x, bool train) {
-  if (x.rank() != 2 || x.cols() != input_.numel()) {
-    throw std::invalid_argument("AvgPool2x2::forward: bad input " +
-                                x.shape_string());
-  }
-  if (train) cached_batch_ = x.rows();
-  Tensor y({x.rows(), output_.numel()});
-  for (std::size_t b = 0; b < x.rows(); ++b) {
+void AvgPool2x2::pool_rows(const Tensor& x, float* y, std::size_t r0,
+                           std::size_t r1) const {
+  for (std::size_t b = r0; b < r1; ++b) {
     const float* src = x.data() + b * input_.numel();
-    float* dst = y.data() + b * output_.numel();
+    float* dst = y + b * output_.numel();
     for (std::size_t c = 0; c < input_.channels; ++c) {
       const float* plane = src + c * input_.height * input_.width;
       float* out_plane = dst + c * output_.height * output_.width;
@@ -273,21 +329,36 @@ Tensor AvgPool2x2::forward(const Tensor& x, bool train) {
       }
     }
   }
-  return y;
 }
 
-Tensor AvgPool2x2::backward(const Tensor& grad_out) {
-  if (cached_batch_ == 0) {
-    throw std::logic_error("AvgPool2x2::backward before forward(train)");
+void AvgPool2x2::forward_eval_into(const Tensor& x, Tensor& out) {
+  if (x.rank() != 2 || x.cols() != input_.numel()) {
+    throw std::invalid_argument("AvgPool2x2::forward: bad input " +
+                                x.shape_string());
   }
-  if (grad_out.rank() != 2 || grad_out.cols() != output_.numel() ||
-      grad_out.rows() != cached_batch_) {
-    throw std::invalid_argument("AvgPool2x2::backward: grad shape");
+  out.ensure_shape({x.rows(), output_.numel()});
+  pool_rows(x, out.data(), 0, x.rows());
+}
+
+void AvgPool2x2::prepare(std::size_t m, std::size_t in_cols) {
+  if (in_cols != input_.numel()) {
+    throw std::invalid_argument("AvgPool2x2::forward: bad input width " +
+                                std::to_string(in_cols));
   }
-  Tensor g({grad_out.rows(), input_.numel()});
-  for (std::size_t b = 0; b < grad_out.rows(); ++b) {
-    const float* src = grad_out.data() + b * output_.numel();
-    float* dst = g.data() + b * input_.numel();
+  y_.ensure_shape({m, output_.numel()});
+  gx_.ensure_shape({m, input_.numel()});
+}
+
+void AvgPool2x2::forward_rows(const Tensor& x, std::size_t r0,
+                              std::size_t r1) {
+  pool_rows(x, y_.data(), r0, r1);
+}
+
+void AvgPool2x2::backward_rows(const Tensor& gy, std::size_t r0,
+                               std::size_t r1) {
+  for (std::size_t b = r0; b < r1; ++b) {
+    const float* src = gy.data() + b * output_.numel();
+    float* dst = gx_.data() + b * input_.numel();
     for (std::size_t c = 0; c < input_.channels; ++c) {
       const float* out_plane = src + c * output_.height * output_.width;
       float* plane = dst + c * input_.height * input_.width;
@@ -303,7 +374,6 @@ Tensor AvgPool2x2::backward(const Tensor& grad_out) {
       }
     }
   }
-  return g;
 }
 
 std::unique_ptr<Module> AvgPool2x2::clone() const {

@@ -27,9 +27,14 @@ class Conv2d final : public Module {
          std::size_t stride, std::size_t padding, Rng& rng,
          std::string name = "conv");
 
-  Tensor forward(const Tensor& x, bool train = true) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
+  void forward_eval_into(const Tensor& x, Tensor& out) override;
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
+  void collect_grad_jobs(std::vector<GradJob>& out) override;
+  /// Weight and bias each accumulate sample by sample in ascending order.
+  void accumulate_grad(Parameter& p) override;
   std::unique_ptr<Module> clone() const override;
 
   ImageShape input_shape() const { return input_; }
@@ -39,10 +44,16 @@ class Conv2d final : public Module {
   Conv2d(ImageShape input, ImageShape output, std::size_t kernel,
          std::size_t stride, std::size_t padding, Parameter w, Parameter b);
 
+  std::size_t positions() const { return output_.height * output_.width; }
+  std::size_t patch() const { return input_.channels * kernel_ * kernel_; }
+
   /// [rows = H_out*W_out, cols = in_ch*k*k] patch matrix for one sample.
-  void im2col(const float* sample, Tensor& columns) const;
+  void im2col(const float* sample, float* columns) const;
   /// Scatter-add of a patch-matrix gradient back to input layout.
-  void col2im(const Tensor& columns, float* sample_grad) const;
+  void col2im(const float* columns, float* sample_grad) const;
+  /// Rows [r0, r1) of y for input rows of x, with this lane's scratch.
+  void forward_samples(const Tensor& x, float* y, std::size_t r0,
+                       std::size_t r1) const;
 
   ImageShape input_;
   ImageShape output_;
@@ -51,14 +62,8 @@ class Conv2d final : public Module {
   std::size_t padding_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
-  // Persistent im2col/col2im scratch, reused across forward/backward calls
-  // and across the whole batch (ensure_shape'd once per call, so steady-state
-  // training allocates nothing here).
-  Tensor columns_;     // [H_out*W_out, in_ch*k*k] patch matrix
-  Tensor matmul_out_;  // [H_out*W_out, out_ch] forward product
-  Tensor gout_pm_;     // [H_out*W_out, out_ch] position-major grad view
-  Tensor dcolumns_;    // [H_out*W_out, in_ch*k*k] patch-space input grad
+  const Tensor* x_ = nullptr;   // the step's full-batch input
+  const Tensor* gy_ = nullptr;  // the step's full-batch output gradient
 };
 
 /// Global average pooling: [batch, C*H*W] -> [batch, C].
@@ -66,13 +71,18 @@ class GlobalAvgPool final : public Module {
  public:
   explicit GlobalAvgPool(ImageShape input);
 
-  Tensor forward(const Tensor& x, bool train = true) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_eval_into(const Tensor& x, Tensor& out) override;
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
   std::unique_ptr<Module> clone() const override;
 
  private:
+  void pool_rows(const Tensor& x, float* y, std::size_t r0,
+                 std::size_t r1) const;
+
   ImageShape input_;
-  std::size_t cached_batch_ = 0;
 };
 
 /// 2x2 average pooling with stride 2 (dimensions must be even).
@@ -80,16 +90,21 @@ class AvgPool2x2 final : public Module {
  public:
   explicit AvgPool2x2(ImageShape input);
 
-  Tensor forward(const Tensor& x, bool train = true) override;
-  Tensor backward(const Tensor& grad_out) override;
+  void forward_eval_into(const Tensor& x, Tensor& out) override;
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
   std::unique_ptr<Module> clone() const override;
 
   ImageShape output_shape() const { return output_; }
 
  private:
+  void pool_rows(const Tensor& x, float* y, std::size_t r0,
+                 std::size_t r1) const;
+
   ImageShape input_;
   ImageShape output_;
-  std::size_t cached_batch_ = 0;
 };
 
 }  // namespace fedpkd::nn

@@ -13,8 +13,16 @@ class Dropout final : public Module {
   /// p in [0, 1): drop probability. Draws masks from `rng` (copied).
   Dropout(float p, Rng rng);
 
-  Tensor forward(const Tensor& x, bool train = true) override;
-  Tensor backward(const Tensor& grad_out) override;
+  /// The identity. Like a training pass with p == 0, it leaves the layer as
+  /// the identity for a following backward(), which passes the gradient
+  /// straight through.
+  void forward_eval_into(const Tensor& x, Tensor& out) override;
+  /// Draws the whole batch's mask, element by element in row-major order.
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
+  void release_step_buffers() override;
   std::unique_ptr<Module> clone() const override;
 
   float drop_probability() const { return p_; }
@@ -22,7 +30,7 @@ class Dropout final : public Module {
  private:
   float p_;
   Rng rng_;
-  Tensor cached_mask_;  // holds the 0 / (1/(1-p)) multipliers
+  Tensor mask_;  // the 0 / (1/(1-p)) multipliers; empty = identity
 };
 
 }  // namespace fedpkd::nn

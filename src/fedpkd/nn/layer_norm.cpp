@@ -21,22 +21,13 @@ LayerNorm::LayerNorm(std::size_t features, float eps, Parameter gamma,
       gamma_(std::move(gamma)),
       beta_(std::move(beta)) {}
 
-Tensor LayerNorm::forward(const Tensor& x, bool train) {
-  if (x.rank() != 2 || x.cols() != features_) {
-    throw std::invalid_argument("LayerNorm::forward: expected [batch, " +
-                                std::to_string(features_) + "], got " +
-                                x.shape_string());
-  }
-  const std::size_t m = x.rows(), n = features_;
-  Tensor y(x.shape());
-  // In train mode xhat / inv_std are written straight into the persistent
-  // caches (ensure_shape reuses their buffers across steps); in eval mode
-  // xhat only lives in a register.
-  if (train) {
-    cached_xhat_.ensure_shape(x.shape());
-    cached_inv_std_.ensure_shape({m});
-  }
-  for (std::size_t r = 0; r < m; ++r) {
+void LayerNorm::normalize_rows(const Tensor& x, float* y, float* xhat,
+                               float* inv_std, std::size_t r0,
+                               std::size_t r1) const {
+  const std::size_t n = features_;
+  // Double-precision row statistics, float normalization; x-hat lives only in
+  // a register unless the training pass asks for it.
+  for (std::size_t r = r0; r < r1; ++r) {
     const float* px = x.data() + r * n;
     double mu = 0.0;
     for (std::size_t c = 0; c < n; ++c) mu += px[c];
@@ -48,16 +39,15 @@ Tensor LayerNorm::forward(const Tensor& x, bool train) {
     }
     var /= static_cast<double>(n);
     const float is = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    if (train) cached_inv_std_[r] = is;
-    float* ph = train ? cached_xhat_.data() + r * n : nullptr;
-    float* py = y.data() + r * n;
+    if (inv_std != nullptr) inv_std[r] = is;
+    float* ph = xhat != nullptr ? xhat + r * n : nullptr;
+    float* py = y + r * n;
     for (std::size_t c = 0; c < n; ++c) {
       const float h = (px[c] - static_cast<float>(mu)) * is;
       if (ph != nullptr) ph[c] = h;
       py[c] = gamma_.value[c] * h + beta_.value[c];
     }
   }
-  return y;
 }
 
 void LayerNorm::forward_eval_into(const Tensor& x, Tensor& out) {
@@ -66,43 +56,34 @@ void LayerNorm::forward_eval_into(const Tensor& x, Tensor& out) {
                                 std::to_string(features_) + "], got " +
                                 x.shape_string());
   }
-  const std::size_t m = x.rows(), n = features_;
   out.ensure_shape(x.shape());
-  // Mirrors the eval branch of forward() exactly (double-precision row
-  // statistics, float normalization) so the two are bitwise interchangeable.
-  for (std::size_t r = 0; r < m; ++r) {
-    const float* px = x.data() + r * n;
-    double mu = 0.0;
-    for (std::size_t c = 0; c < n; ++c) mu += px[c];
-    mu /= static_cast<double>(n);
-    double var = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      const double d = px[c] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(n);
-    const float is = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    float* py = out.data() + r * n;
-    for (std::size_t c = 0; c < n; ++c) {
-      const float h = (px[c] - static_cast<float>(mu)) * is;
-      py[c] = gamma_.value[c] * h + beta_.value[c];
-    }
-  }
+  normalize_rows(x, out.data(), nullptr, nullptr, 0, x.rows());
 }
 
-Tensor LayerNorm::backward(const Tensor& grad_out) {
-  if (cached_xhat_.empty()) {
-    throw std::logic_error("LayerNorm::backward called before forward(train)");
+void LayerNorm::prepare(std::size_t m, std::size_t in_cols) {
+  if (in_cols != features_) {
+    throw std::invalid_argument("LayerNorm::forward: expected [batch, " +
+                                std::to_string(features_) + "], got [" +
+                                std::to_string(m) + ", " +
+                                std::to_string(in_cols) + "]");
   }
-  if (!grad_out.same_shape(cached_xhat_)) {
-    throw std::invalid_argument("LayerNorm::backward: grad shape mismatch");
-  }
-  const std::size_t m = grad_out.rows(), n = features_;
-  Tensor gx(grad_out.shape());
-  for (std::size_t r = 0; r < m; ++r) {
-    const float* g = grad_out.data() + r * n;
-    const float* xh = cached_xhat_.data() + r * n;
-    float* pgx = gx.data() + r * n;
+  Module::prepare(m, features_);
+  xhat_.ensure_shape({m, features_});
+  inv_std_.ensure_shape({m});
+}
+
+void LayerNorm::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
+  normalize_rows(x, y_.data(), xhat_.data(), inv_std_.data(), r0, r1);
+}
+
+void LayerNorm::backward_rows(const Tensor& gy, std::size_t r0,
+                              std::size_t r1) {
+  if (r0 == 0) gy_ = &gy;
+  const std::size_t n = features_;
+  for (std::size_t r = r0; r < r1; ++r) {
+    const float* g = gy.data() + r * n;
+    const float* xh = xhat_.data() + r * n;
+    float* pgx = gx_.data() + r * n;
     // dxhat = g * gamma; dx via the standard layer-norm backward identity.
     double sum_dxhat = 0.0;
     double sum_dxhat_xhat = 0.0;
@@ -110,23 +91,43 @@ Tensor LayerNorm::backward(const Tensor& grad_out) {
       const double dxh = static_cast<double>(g[c]) * gamma_.value[c];
       sum_dxhat += dxh;
       sum_dxhat_xhat += dxh * xh[c];
-      gamma_.grad[c] += g[c] * xh[c];
-      beta_.grad[c] += g[c];
     }
     const double inv_n = 1.0 / static_cast<double>(n);
-    const double is = cached_inv_std_[r];
+    const double is = inv_std_[r];
     for (std::size_t c = 0; c < n; ++c) {
       const double dxh = static_cast<double>(g[c]) * gamma_.value[c];
       pgx[c] = static_cast<float>(
           is * (dxh - inv_n * sum_dxhat - inv_n * xh[c] * sum_dxhat_xhat));
     }
   }
-  return gx;
 }
 
-void LayerNorm::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&gamma_);
-  out.push_back(&beta_);
+void LayerNorm::collect_grad_jobs(std::vector<GradJob>& out) {
+  out.push_back({this, &gamma_});
+  out.push_back({this, &beta_});
+}
+
+void LayerNorm::accumulate_grad(Parameter& p) {
+  if (&p != &gamma_ && &p != &beta_) {
+    Module::accumulate_grad(p);
+    return;
+  }
+  // Each column accumulates its rows in ascending order.
+  const bool is_gamma = &p == &gamma_;
+  const std::size_t n = features_;
+  for (std::size_t r = 0; r < gy_->rows(); ++r) {
+    const float* g = gy_->data() + r * n;
+    const float* xh = xhat_.data() + r * n;
+    for (std::size_t c = 0; c < n; ++c) {
+      p.grad[c] += is_gamma ? g[c] * xh[c] : g[c];
+    }
+  }
+}
+
+void LayerNorm::release_step_buffers() {
+  Module::release_step_buffers();
+  xhat_ = Tensor();
+  inv_std_ = Tensor();
 }
 
 std::unique_ptr<Module> LayerNorm::clone() const {

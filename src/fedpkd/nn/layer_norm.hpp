@@ -16,10 +16,14 @@ class LayerNorm final : public Module {
   explicit LayerNorm(std::size_t features, float eps = 1e-5f,
                      std::string name = "layer_norm");
 
-  Tensor forward(const Tensor& x, bool train = true) override;
   void forward_eval_into(const Tensor& x, Tensor& out) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
+  void collect_grad_jobs(std::vector<GradJob>& out) override;
+  void accumulate_grad(Parameter& p) override;
+  void release_step_buffers() override;
   std::unique_ptr<Module> clone() const override;
 
   std::size_t features() const { return features_; }
@@ -27,12 +31,18 @@ class LayerNorm final : public Module {
  private:
   LayerNorm(std::size_t features, float eps, Parameter gamma, Parameter beta);
 
+  /// Normalizes rows [r0, r1) of x into y; also stores x-hat and 1/std when
+  /// xhat / inv_std are non-null (the training pass).
+  void normalize_rows(const Tensor& x, float* y, float* xhat, float* inv_std,
+                      std::size_t r0, std::size_t r1) const;
+
   std::size_t features_;
   float eps_;
   Parameter gamma_;
   Parameter beta_;
-  Tensor cached_xhat_;
-  Tensor cached_inv_std_;  // [batch], 1/sqrt(var + eps) per row
+  Tensor xhat_;            // [m, features]
+  Tensor inv_std_;         // [m], 1/sqrt(var + eps) per row
+  const Tensor* gy_ = nullptr;  // the step's full-batch output gradient
 };
 
 }  // namespace fedpkd::nn

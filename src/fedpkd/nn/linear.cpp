@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "fedpkd/tensor/kernels.hpp"
 #include "fedpkd/tensor/ops.hpp"
 
 namespace fedpkd::nn {
@@ -23,16 +24,6 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
 Linear::Linear(std::size_t in, std::size_t out, Parameter w, Parameter b)
     : in_(in), out_(out), weight_(std::move(w)), bias_(std::move(b)) {}
 
-Tensor Linear::forward(const Tensor& x, bool train) {
-  if (x.rank() != 2 || x.cols() != in_) {
-    throw std::invalid_argument("Linear::forward: expected [batch, " +
-                                std::to_string(in_) + "], got " +
-                                x.shape_string());
-  }
-  if (train) cached_input_ = x;  // capacity-reusing assign: no alloc after warmup
-  return tensor::matmul_bias(x, weight_.value, bias_.value);
-}
-
 void Linear::forward_eval_into(const Tensor& x, Tensor& out) {
   if (x.rank() != 2 || x.cols() != in_) {
     throw std::invalid_argument("Linear::forward: expected [batch, " +
@@ -42,23 +33,60 @@ void Linear::forward_eval_into(const Tensor& x, Tensor& out) {
   tensor::matmul_bias_into(x, weight_.value, bias_.value, out);
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
-  if (cached_input_.empty()) {
-    throw std::logic_error("Linear::backward called before forward(train)");
+void Linear::prepare(std::size_t m, std::size_t in_cols) {
+  if (in_cols != in_) {
+    throw std::invalid_argument("Linear::forward: expected [batch, " +
+                                std::to_string(in_) + "], got [" +
+                                std::to_string(m) + ", " +
+                                std::to_string(in_cols) + "]");
   }
-  if (grad_out.rank() != 2 || grad_out.cols() != out_ ||
-      grad_out.rows() != cached_input_.rows()) {
-    throw std::invalid_argument("Linear::backward: grad shape " +
-                                grad_out.shape_string());
-  }
-  tensor::matmul_transpose_a_accumulate(cached_input_, grad_out, weight_.grad);
-  tensor::sum_rows_accumulate(grad_out, bias_.grad);
-  return tensor::matmul_transpose_b(grad_out, weight_.value);
+  y_.ensure_shape({m, out_});
+  gx_.ensure_shape({m, in_});
+  wt_.ensure_shape({out_, in_});
 }
 
-void Linear::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&weight_);
-  out.push_back(&bias_);
+void Linear::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
+  if (r0 == 0) x_ = &x;
+  tensor::kernels::matmul_bias_rows(x.data(), weight_.value.data(),
+                                    bias_.value.data(), y_.data(), in_, out_,
+                                    r0, r1);
+  // The backward phase needs W^T. The ranges of a phase partition [0, m), so
+  // W's rows [r0*in/m, r1*in/m) partition W: each range transposes its share.
+  const std::size_t m = y_.rows();
+  tensor::kernels::transpose_blocked_rows(weight_.value.data(), wt_.data(),
+                                          in_, out_, r0 * in_ / m,
+                                          r1 * in_ / m);
+}
+
+void Linear::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
+  if (r0 == 0) gy_ = &gy;
+  // dx = gy W^T as matmul tiles over W^T, the route of
+  // ops::matmul_transpose_b_into.
+  tensor::kernels::matmul_rows(gy.data(), wt_.data(), gx_.data(), out_, in_,
+                               r0, r1);
+}
+
+void Linear::release_step_buffers() {
+  Module::release_step_buffers();
+  wt_ = Tensor();
+}
+
+void Linear::collect_grad_jobs(std::vector<GradJob>& out) {
+  out.push_back({this, &weight_});
+  out.push_back({this, &bias_});
+}
+
+void Linear::accumulate_grad(Parameter& p) {
+  if (&p == &weight_) {
+    // dW += x^T gy over the whole batch.
+    tensor::kernels::matmul_ta_acc_rows(x_->data(), gy_->data(),
+                                        weight_.grad.data(), x_->rows(), in_,
+                                        out_, 0, in_);
+  } else if (&p == &bias_) {
+    tensor::sum_rows_accumulate(*gy_, bias_.grad);
+  } else {
+    Module::accumulate_grad(p);
+  }
 }
 
 std::unique_ptr<Module> Linear::clone() const {

@@ -13,10 +13,14 @@ class Linear final : public Module {
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          std::string name = "linear");
 
-  Tensor forward(const Tensor& x, bool train = true) override;
   void forward_eval_into(const Tensor& x, Tensor& out) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
+  void release_step_buffers() override;
+  void collect_grad_jobs(std::vector<GradJob>& out) override;
+  void accumulate_grad(Parameter& p) override;
   std::unique_ptr<Module> clone() const override;
 
   std::size_t in_features() const { return in_; }
@@ -31,7 +35,9 @@ class Linear final : public Module {
   std::size_t out_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
+  Tensor wt_;                   // [out, in] W^T for the backward phase
+  const Tensor* x_ = nullptr;   // the step's full-batch input
+  const Tensor* gy_ = nullptr;  // the step's full-batch output gradient
 };
 
 }  // namespace fedpkd::nn

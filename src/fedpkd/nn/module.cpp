@@ -1,20 +1,90 @@
 #include "fedpkd/nn/module.hpp"
 
+#include <deque>
 #include <stdexcept>
 
 namespace fedpkd::nn {
 
-void Module::collect_parameters(std::vector<Parameter*>&) {}
+namespace {
 
-void Module::forward_eval_into(const Tensor& x, Tensor& out) {
-  // Fallback for layers without a buffer-reusing override: the move-assign
-  // keeps it correct (and allocation-neutral versus calling forward directly).
-  out = forward(x, /*train=*/false);
+struct EvalLevel {
+  Tensor a;
+  Tensor b;
+};
+
+// A deque, so growing it never moves the levels that live scratches use.
+thread_local std::deque<EvalLevel> t_eval_levels;
+thread_local std::size_t t_eval_depth = 0;
+
+}  // namespace
+
+EvalScratch::EvalScratch() {
+  if (t_eval_levels.size() == t_eval_depth) t_eval_levels.emplace_back();
+  EvalLevel& level = t_eval_levels[t_eval_depth++];
+  a_ = &level.a;
+  b_ = &level.b;
+}
+
+EvalScratch::~EvalScratch() { --t_eval_depth; }
+
+void EvalScratch::release_unused() { t_eval_levels.resize(t_eval_depth); }
+
+Tensor Module::forward(const Tensor& x, bool train) {
+  if (!train) {
+    Tensor out;
+    forward_eval_into(x, out);
+    return out;
+  }
+  if (x.rank() != 2) {
+    throw std::invalid_argument(
+        "Module::forward: expected [batch, features], got " +
+        x.shape_string());
+  }
+  prepare(x.rows(), x.cols());
+  forward_rows(x, 0, x.rows());
+  return output();
+}
+
+Tensor Module::backward(const Tensor& grad_out) {
+  const Tensor& y = output();
+  if (y.empty()) {
+    throw std::logic_error("Module::backward called before forward(train)");
+  }
+  if (!grad_out.same_shape(y)) {
+    throw std::invalid_argument("Module::backward: grad shape " +
+                                grad_out.shape_string() + " vs output " +
+                                y.shape_string());
+  }
+  backward_rows(grad_out, 0, grad_out.rows());
+  std::vector<GradJob> jobs;
+  collect_grad_jobs(jobs);
+  for (const GradJob& job : jobs) job.owner->accumulate_grad(*job.param);
+  return input_grad();
+}
+
+void Module::prepare(std::size_t m, std::size_t in_cols) {
+  y_.ensure_shape({m, in_cols});
+  gx_.ensure_shape({m, in_cols});
+}
+
+void Module::collect_grad_jobs(std::vector<GradJob>&) {}
+
+void Module::accumulate_grad(Parameter& p) {
+  throw std::logic_error("Module::accumulate_grad: '" + p.name +
+                         "' is not a parameter of this module");
+}
+
+void Module::release_step_buffers() {
+  y_ = Tensor();
+  gx_ = Tensor();
 }
 
 std::vector<Parameter*> Module::parameters() {
+  std::vector<GradJob> jobs;
+  collect_grad_jobs(jobs);
   std::vector<Parameter*> out;
-  collect_parameters(out);
+  out.reserve(jobs.size());
+  for (const GradJob& job : jobs) out.push_back(job.param);
   return out;
 }
 

@@ -27,13 +27,33 @@ struct Parameter {
   std::size_t numel() const { return value.numel(); }
 };
 
+class Module;
+
+/// The gradient job of one parameter: `owner->accumulate_grad(*param)`.
+struct GradJob {
+  Module* owner;
+  Parameter* param;
+};
+
 /// Base class for differentiable layers.
 ///
-/// The library uses layer-wise backpropagation rather than a tape: each
-/// Module caches whatever forward() state its backward() needs, so a module
-/// instance supports exactly one forward/backward pair in flight. That is all
-/// mini-batch SGD requires, keeps memory bounded and deterministic, and avoids
-/// a dynamic autograd graph in the hot loop (see DESIGN.md §2).
+/// The library uses layer-wise backpropagation rather than a tape. A training
+/// step on an [m, in] batch runs in three phases (see DESIGN.md §2):
+///
+///   1. prepare(m, in) — serial: shapes the step's output and input-gradient
+///      buffers (Dropout also draws its whole-batch mask here);
+///   2. forward_rows / backward_rows over row ranges that partition [0, m) —
+///      ranges of one phase may run concurrently, each writes only its own
+///      rows of the module's buffers and never touches a parameter gradient;
+///   3. one gradient job per parameter (collect_grad_jobs), reading the
+///      full-batch input and output gradient after every row range finished.
+///
+/// Every row of a phase is computed by row-independent kernels and every
+/// parameter gradient by one full-batch job in ascending row order, so the
+/// result is bitwise independent of how the rows were split. A module keeps
+/// only pointers to its input and output gradient, so both must stay alive
+/// until the gradient jobs ran; one step is in flight per module, and the
+/// buffers stay until release_step_buffers().
 class Module {
  public:
   Module() = default;
@@ -41,26 +61,60 @@ class Module {
   Module& operator=(const Module&) = delete;
   virtual ~Module() = default;
 
-  /// Computes the layer output for a [batch, in] input and caches state for
-  /// backward(). `train` distinguishes training and inference passes (layers
-  /// may skip caching when train is false).
-  virtual Tensor forward(const Tensor& x, bool train = true) = 0;
+  /// -- Whole-batch passes ----------------------------------------------------
 
-  /// Given dLoss/dOutput, accumulates parameter gradients (+=) and returns
-  /// dLoss/dInput. Must be called after a forward(x, /*train=*/true).
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// train == true: the whole step's first two phases on one range — prepare,
+  /// then forward_rows over all rows; returns a copy of output(). train ==
+  /// false: forward_eval_into into a fresh tensor.
+  Tensor forward(const Tensor& x, bool train = true);
+
+  /// Backward over all rows, then every gradient job: accumulates (+=) the
+  /// parameter gradients and returns dLoss/dInput. Must follow a
+  /// forward(x, /*train=*/true) whose `x` is still alive.
+  Tensor backward(const Tensor& grad_out);
 
   /// Inference pass that writes into a caller-provided tensor instead of
   /// returning a fresh one, so steady-state evaluation (public-set logits
   /// every round) reuses the same buffers and allocates nothing after
-  /// warm-up. Bitwise equal to `out = forward(x, /*train=*/false)` — layers
-  /// override it with the exact eval-mode arithmetic, never a reordered
-  /// variant. `out` must not alias `x`. Does not disturb cached backward
-  /// state.
-  virtual void forward_eval_into(const Tensor& x, Tensor& out);
+  /// warm-up. `out` must not alias `x`. Does not disturb the step buffers
+  /// (except Dropout's, which an inference pass resets to the identity).
+  virtual void forward_eval_into(const Tensor& x, Tensor& out) = 0;
 
-  /// Appends non-owning pointers to this module's parameters.
-  virtual void collect_parameters(std::vector<Parameter*>& out);
+  /// -- Row-phased training step ----------------------------------------------
+
+  /// Shapes the step buffers for an [m, in_cols] input. Serial. Throws
+  /// std::invalid_argument on a width the layer cannot take. The default
+  /// suits layers whose output has their input's shape.
+  virtual void prepare(std::size_t m, std::size_t in_cols);
+
+  /// Writes rows [r0, r1) of output() from the full-batch input `x` (the same
+  /// tensor for every range of a step). The range starting at row 0 records
+  /// `x` for the gradient jobs.
+  virtual void forward_rows(const Tensor& x, std::size_t r0,
+                            std::size_t r1) = 0;
+
+  /// Writes rows [r0, r1) of input_grad() from the full-batch output
+  /// gradient `gy`. The range starting at row 0 records `gy` for the
+  /// gradient jobs.
+  virtual void backward_rows(const Tensor& gy, std::size_t r0,
+                             std::size_t r1) = 0;
+
+  /// The step's full-batch output and input-gradient buffers.
+  virtual const Tensor& output() const { return y_; }
+  virtual const Tensor& input_grad() const { return gx_; }
+
+  /// Appends one gradient job per parameter, in declaration order.
+  virtual void collect_grad_jobs(std::vector<GradJob>& out);
+
+  /// Accumulates (+=) the full-batch gradient of `p`, one of this module's
+  /// own parameters. Runs after every backward range of the step; jobs of
+  /// different parameters may run concurrently.
+  virtual void accumulate_grad(Parameter& p);
+
+  /// Frees the step buffers (the next prepare() reallocates them).
+  virtual void release_step_buffers();
+
+  /// -- Parameters ------------------------------------------------------------
 
   /// Deep copy (fresh parameters with equal values, zero gradients).
   virtual std::unique_ptr<Module> clone() const = 0;
@@ -73,6 +127,34 @@ class Module {
 
   /// Total number of trainable scalars.
   std::size_t parameter_count();
+
+ protected:
+  Tensor y_;   // [m, out] step output
+  Tensor gx_;  // [m, in] step input gradient
+};
+
+/// Hop buffers for forward_eval_into chains (Sequential, Residual,
+/// Classifier::logits_into). Each live EvalScratch on a thread holds its own
+/// nesting level of a per-thread pool, so nested chains never alias, while
+/// sibling blocks at one depth reuse the same cache-warm tensors and steady
+/// state allocates nothing.
+class EvalScratch {
+ public:
+  EvalScratch();
+  ~EvalScratch();
+  EvalScratch(const EvalScratch&) = delete;
+  EvalScratch& operator=(const EvalScratch&) = delete;
+
+  Tensor& a() { return *a_; }
+  Tensor& b() { return *b_; }
+
+  /// Frees the calling thread's levels that no live EvalScratch holds. For
+  /// one-off evaluations, so their scratch does not stay resident.
+  static void release_unused();
+
+ private:
+  Tensor* a_;
+  Tensor* b_;
 };
 
 /// -- Flat weight-vector helpers (federated averaging works on these) --------

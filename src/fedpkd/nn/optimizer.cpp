@@ -14,6 +14,11 @@ Optimizer::Optimizer(std::vector<Parameter*> params)
   }
 }
 
+void Optimizer::step() {
+  begin_step();
+  for (std::size_t i = 0; i < params_.size(); ++i) update(i);
+}
+
 void Optimizer::zero_grad() {
   for (Parameter* p : params_) p->grad.zero();
 }
@@ -27,15 +32,13 @@ Sgd::Sgd(std::vector<Parameter*> params, Options opts)
   }
 }
 
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    Tensor& v = velocity_[i];
-    for (std::size_t k = 0; k < p.numel(); ++k) {
-      const float g = p.grad[k] + opts_.weight_decay * p.value[k];
-      v[k] = opts_.momentum * v[k] + g;
-      p.value[k] -= opts_.lr * v[k];
-    }
+void Sgd::update(std::size_t i) {
+  Parameter& p = *params_[i];
+  Tensor& v = velocity_[i];
+  for (std::size_t k = 0; k < p.numel(); ++k) {
+    const float g = p.grad[k] + opts_.weight_decay * p.value[k];
+    v[k] = opts_.momentum * v[k] + g;
+    p.value[k] -= opts_.lr * v[k];
   }
 }
 
@@ -57,22 +60,23 @@ Adam::Adam(std::vector<Parameter*> params, Options opts)
   }
 }
 
-void Adam::step() {
+void Adam::begin_step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_));
+  bc1_ = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_));
+  bc2_ = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_));
+}
+
+void Adam::update(std::size_t i) {
   const tensor::kernels::AdamStep s{.lr = opts_.lr,
                                     .beta1 = opts_.beta1,
                                     .beta2 = opts_.beta2,
                                     .eps = opts_.eps,
                                     .weight_decay = opts_.weight_decay,
-                                    .bc1 = bc1,
-                                    .bc2 = bc2};
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    tensor::kernels::adam_update(p.value.data(), p.grad.data(), m_[i].data(),
-                                 v_[i].data(), p.numel(), s);
-  }
+                                    .bc1 = bc1_,
+                                    .bc2 = bc2_};
+  Parameter& p = *params_[i];
+  tensor::kernels::adam_update(p.value.data(), p.grad.data(), m_[i].data(),
+                               v_[i].data(), p.numel(), s);
 }
 
 namespace {
@@ -105,15 +109,13 @@ RmsProp::RmsProp(std::vector<Parameter*> params, Options opts)
   }
 }
 
-void RmsProp::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    Tensor& v = v_[i];
-    for (std::size_t k = 0; k < p.numel(); ++k) {
-      const float g = p.grad[k] + opts_.weight_decay * p.value[k];
-      v[k] = opts_.rho * v[k] + (1.0f - opts_.rho) * g * g;
-      p.value[k] -= opts_.lr * g / (std::sqrt(v[k]) + opts_.eps);
-    }
+void RmsProp::update(std::size_t i) {
+  Parameter& p = *params_[i];
+  Tensor& v = v_[i];
+  for (std::size_t k = 0; k < p.numel(); ++k) {
+    const float g = p.grad[k] + opts_.weight_decay * p.value[k];
+    v[k] = opts_.rho * v[k] + (1.0f - opts_.rho) * g * g;
+    p.value[k] -= opts_.lr * g / (std::sqrt(v[k]) + opts_.eps);
   }
 }
 
@@ -133,10 +135,14 @@ void add_proximal_gradient(std::vector<Parameter*> params,
   }
   std::size_t offset = 0;
   for (Parameter* p : params) {
-    for (std::size_t k = 0; k < p->numel(); ++k) {
-      p->grad[k] += mu * (p->value[k] - reference[offset + k]);
-    }
+    add_proximal_gradient(*p, reference.data() + offset, mu);
     offset += p->numel();
+  }
+}
+
+void add_proximal_gradient(Parameter& p, const float* reference, float mu) {
+  for (std::size_t k = 0; k < p.numel(); ++k) {
+    p.grad[k] += mu * (p.value[k] - reference[k]);
   }
 }
 

@@ -18,8 +18,16 @@ class Optimizer {
   Optimizer& operator=(const Optimizer&) = delete;
   virtual ~Optimizer() = default;
 
-  /// Applies one update using the current gradients.
-  virtual void step() = 0;
+  /// Applies one update using the current gradients: begin_step(), then
+  /// update(i) for every parameter.
+  void step();
+
+  /// Starts a step (Adam advances its bias corrections). Serial.
+  virtual void begin_step() {}
+
+  /// Updates params()[i] from its gradient. Elementwise and independent per
+  /// parameter, so the updates of one step may run concurrently.
+  virtual void update(std::size_t i) = 0;
 
   /// Changes the learning rate used by subsequent steps (LrSchedule
   /// integration point). Throws std::invalid_argument on lr <= 0.
@@ -45,7 +53,7 @@ class Sgd final : public Optimizer {
   };
 
   Sgd(std::vector<Parameter*> params, Options opts);
-  void step() override;
+  void update(std::size_t i) override;
   void set_lr(float lr) override;
 
  private:
@@ -67,7 +75,8 @@ class Adam final : public Optimizer {
 
   explicit Adam(std::vector<Parameter*> params);
   Adam(std::vector<Parameter*> params, Options opts);
-  void step() override;
+  void begin_step() override;
+  void update(std::size_t i) override;
   void set_lr(float lr) override;
 
  private:
@@ -75,6 +84,8 @@ class Adam final : public Optimizer {
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
   std::int64_t t_ = 0;
+  float bc1_ = 1.0f;  // 1 - beta1^t
+  float bc2_ = 1.0f;  // 1 - beta2^t
 };
 
 /// RMSProp (Tieleman & Hinton): per-parameter adaptive rate without Adam's
@@ -90,7 +101,7 @@ class RmsProp final : public Optimizer {
   };
 
   RmsProp(std::vector<Parameter*> params, Options opts);
-  void step() override;
+  void update(std::size_t i) override;
   void set_lr(float lr) override;
 
  private:
@@ -104,5 +115,8 @@ class RmsProp final : public Optimizer {
 /// backward() and step().
 void add_proximal_gradient(std::vector<Parameter*> params,
                            const Tensor& reference, float mu);
+
+/// The same for one parameter, whose reference weights start at `reference`.
+void add_proximal_gradient(Parameter& p, const float* reference, float mu);
 
 }  // namespace fedpkd::nn

@@ -15,15 +15,17 @@ class Residual final : public Module {
  public:
   explicit Residual(std::unique_ptr<Module> inner);
 
-  Tensor forward(const Tensor& x, bool train = true) override;
   void forward_eval_into(const Tensor& x, Tensor& out) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
+  void collect_grad_jobs(std::vector<GradJob>& out) override;
+  void release_step_buffers() override;
   std::unique_ptr<Module> clone() const override;
 
  private:
   std::unique_ptr<Module> inner_;
-  Tensor eval_fx_;  // persistent f(x) buffer for forward_eval_into
 };
 
 }  // namespace fedpkd::nn

@@ -17,10 +17,17 @@ class Sequential final : public Module {
   /// Appends a layer; returns *this for builder-style chaining.
   Sequential& add(std::unique_ptr<Module> layer);
 
-  Tensor forward(const Tensor& x, bool train = true) override;
   void forward_eval_into(const Tensor& x, Tensor& out) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
+  void prepare(std::size_t m, std::size_t in_cols) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override;
+  /// The last layer's output and the first layer's input gradient; an
+  /// empty chain copies its input (and gradient) through.
+  const Tensor& output() const override;
+  const Tensor& input_grad() const override;
+  void collect_grad_jobs(std::vector<GradJob>& out) override;
+  void release_step_buffers() override;
   std::unique_ptr<Module> clone() const override;
 
   std::size_t size() const { return layers_.size(); }
@@ -28,10 +35,6 @@ class Sequential final : public Module {
 
  private:
   std::vector<std::unique_ptr<Module>> layers_;
-  // Ping-pong hop buffers for forward_eval_into; persistent so the chain is
-  // allocation-free once their capacities settle.
-  Tensor eval_a_;
-  Tensor eval_b_;
 };
 
 }  // namespace fedpkd::nn

@@ -452,12 +452,18 @@ void adam_update_naive(float* value, const float* grad, float* m, float* v,
 
 void transpose_blocked(const float* a, float* out, std::size_t m,
                        std::size_t n) {
+  transpose_blocked_rows(a, out, m, n, 0, m);
+}
+
+void transpose_blocked_rows(const float* a, float* out, std::size_t m,
+                            std::size_t n, std::size_t row_begin,
+                            std::size_t row_end) {
   // 32x32 tiles: reads and writes both stay within a handful of cache lines
   // per tile instead of the column-scatter of the naive loop. Pure
   // permutation, so tiling cannot change any value.
   constexpr std::size_t kTile = 32;
-  for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
-    const std::size_t i1 = std::min(m, i0 + kTile);
+  for (std::size_t i0 = row_begin; i0 < row_end; i0 += kTile) {
+    const std::size_t i1 = std::min(row_end, i0 + kTile);
     for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
       const std::size_t j1 = std::min(n, j0 + kTile);
       for (std::size_t i = i0; i < i1; ++i) {

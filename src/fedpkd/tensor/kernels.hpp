@@ -67,6 +67,12 @@ void matmul_tb_rows_naive(const float* a, const float* b, float* c,
 /// out[n,m] = A[m,n]^T, tiled so both sides stream through cache lines.
 void transpose_blocked(const float* a, float* out, std::size_t m,
                        std::size_t n);
+/// The part of transpose_blocked that reads A's rows [row_begin, row_end),
+/// i.e. writes those columns of every row of out; disjoint row ranges may
+/// run concurrently.
+void transpose_blocked_rows(const float* a, float* out, std::size_t m,
+                            std::size_t n, std::size_t row_begin,
+                            std::size_t row_end);
 void transpose_naive(const float* a, float* out, std::size_t m, std::size_t n);
 
 /// Hyper-parameters of one Adam step; bc1 and bc2 are the step's bias

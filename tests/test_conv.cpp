@@ -12,6 +12,7 @@
 #include "fedpkd/nn/conv.hpp"
 #include "fedpkd/nn/model_zoo.hpp"
 #include "fedpkd/tensor/ops.hpp"
+#include "split_invariance.hpp"
 
 namespace fedpkd::nn {
 namespace {
@@ -218,6 +219,15 @@ TEST(ResCnn, LearnsImageModeTask) {
   const float after = fl::evaluate_accuracy(model, test);
   EXPECT_GT(after, before + 0.15f);
   EXPECT_GT(after, 0.3f);
+}
+
+TEST(ResCnn, StepIsLaneInvariant) {
+  // Conv2d, both pools and the conv residual blocks under the shared step.
+  // The row grain scales with the parameter count, so this small CNN needs
+  // 64 rows before it splits four ways.
+  Rng rng(17);
+  split_testing::expect_split_invariant(make_rescnn("rescnn8", 3, 8, 10, rng),
+                                        {1, 5, 13, 32, 64});
 }
 
 // ------------------------------------------------------------- ImageMode ---

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <mutex>
+#include <utility>
 
 #include "fedpkd/nn/activation.hpp"
 #include "fedpkd/nn/classifier.hpp"
@@ -18,7 +21,9 @@
 #include "fedpkd/nn/optimizer.hpp"
 #include "fedpkd/nn/residual.hpp"
 #include "fedpkd/nn/sequential.hpp"
+#include "fedpkd/nn/train_step.hpp"
 #include "fedpkd/tensor/ops.hpp"
+#include "split_invariance.hpp"
 
 namespace fedpkd::nn {
 namespace {
@@ -794,6 +799,141 @@ TEST(ModelZoo, GradientCheckTinyModelEndToEnd) {
       EXPECT_NEAR(p->grad[i], numeric, 5e-2f) << p->name << "[" << i << "]";
     }
   }
+}
+
+// -------------------------------------------------- Row-split invariance ---
+
+TEST(RowSplit, ResMlp11StepIsLaneInvariant) {
+  Rng rng(50);
+  split_testing::expect_split_invariant(
+      make_classifier("resmlp11", 24, 10, rng), {1, 5, 13, 32});
+}
+
+TEST(RowSplit, ResMlp56StepIsLaneInvariant) {
+  Rng rng(51);
+  split_testing::expect_split_invariant(
+      make_classifier("resmlp56", 24, 10, rng), {1, 5, 13, 32});
+}
+
+TEST(RowSplit, TanhDropoutStepIsLaneInvariant) {
+  // Dropout draws its whole-batch mask in prepare(), so the mask (and with it
+  // every later step) must not depend on the split either.
+  Rng rng(52);
+  auto body = std::make_unique<Sequential>();
+  body->add(std::make_unique<Linear>(24, 256, rng, "fc1"));
+  body->add(std::make_unique<Tanh>());
+  body->add(std::make_unique<Dropout>(0.3f, Rng(53)));
+  body->add(std::make_unique<Linear>(256, kFeatureDim, rng, "fc2"));
+  body->add(std::make_unique<Relu>());
+  Classifier model("tanh_dropout", std::move(body),
+                   std::make_unique<Linear>(kFeatureDim, 10, rng, "head"), 24);
+  split_testing::expect_split_invariant(model, {1, 5, 13, 32});
+}
+
+using RowRanges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// Identity layer that records the row ranges its forward phase ran on.
+class RangeProbe final : public Module {
+ public:
+  explicit RangeProbe(RowRanges* ranges) : ranges_(ranges) {}
+
+  void forward_eval_into(const Tensor& x, Tensor& out) override { out = x; }
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ranges_->emplace_back(r0, r1);
+    }
+    const std::size_t n = x.cols();
+    std::copy(x.data() + r0 * n, x.data() + r1 * n, y_.data() + r0 * n);
+  }
+  void backward_rows(const Tensor& gy, std::size_t r0,
+                     std::size_t r1) override {
+    const std::size_t n = gy.cols();
+    std::copy(gy.data() + r0 * n, gy.data() + r1 * n, gx_.data() + r0 * n);
+  }
+  std::unique_ptr<Module> clone() const override {
+    return std::make_unique<RangeProbe>(ranges_);
+  }
+
+ private:
+  RowRanges* ranges_;
+  std::mutex mutex_;
+};
+
+/// Runs one Adam TrainStep on a 32-row batch of a model whose first layer
+/// logs the forward row ranges; returns them sorted.
+RowRanges step_ranges() {
+  RowRanges ranges;
+  Rng rng(54);
+  auto body = std::make_unique<Sequential>();
+  body->add(std::make_unique<RangeProbe>(&ranges));
+  body->add(std::make_unique<Linear>(32, 256, rng, "fc1"));
+  body->add(std::make_unique<Relu>());
+  body->add(std::make_unique<Linear>(256, kFeatureDim, rng, "fc2"));
+  Classifier model("probe", std::move(body),
+                   std::make_unique<Linear>(kFeatureDim, 10, rng, "head"), 32);
+  Adam adam(model.parameters());
+  TrainStep step(model, adam);
+  const Tensor x = Tensor::randn({32, 32}, rng);
+  const std::vector<int> y(32, 3);
+  step.run(x, [&](const Tensor& logits, const Tensor&) {
+    LossResult ce = softmax_cross_entropy(logits, y);
+    return StepLoss{ce.value, std::move(ce.grad)};
+  });
+  std::sort(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+TEST(RowSplit, StepSplitsRowsAcrossLanes) {
+  setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);
+  exec::set_num_threads(4);
+  const RowRanges ranges = step_ranges();
+  exec::set_num_threads(1);
+  unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
+  const RowRanges expected{{0, 8}, {8, 16}, {16, 24}, {24, 32}};
+  EXPECT_EQ(ranges, expected);
+}
+
+TEST(RowSplit, ScopedThreadLimitOneKeepsTheStepInline) {
+  setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);
+  exec::set_num_threads(4);
+  RowRanges ranges;
+  {
+    exec::ScopedThreadLimit limit(1);
+    ranges = step_ranges();
+  }
+  exec::set_num_threads(1);
+  unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
+  const RowRanges expected{{0, 32}};
+  EXPECT_EQ(ranges, expected);
+}
+
+TEST(RowSplit, TrainStepRejectsAForeignOptimizer) {
+  Rng rng(55);
+  Classifier model = make_classifier("resmlp11", 8, 4, rng);
+  Classifier other = make_classifier("resmlp11", 8, 4, rng);
+  Adam adam(other.parameters());
+  EXPECT_THROW(TrainStep(model, adam), std::invalid_argument);
+}
+
+TEST(RowSplit, StepBuffersAreReleasedWithTheStep) {
+  Rng rng(56);
+  Classifier model = make_classifier("resmlp11", 8, 4, rng);
+  Adam adam(model.parameters());
+  const Tensor x = Tensor::randn({6, 8}, rng);
+  const std::vector<int> y{0, 1, 2, 3, 0, 1};
+  {
+    TrainStep step(model, adam);
+    step.run(x, [&](const Tensor& logits, const Tensor&) {
+      LossResult ce = softmax_cross_entropy(logits, y);
+      return StepLoss{ce.value, std::move(ce.grad)};
+    });
+    EXPECT_EQ(model.logits().rows(), 6u);
+  }
+  EXPECT_TRUE(model.logits().empty());
+  EXPECT_TRUE(model.last_features().empty());
+  // Without a live training pass, backward has nothing to run on.
+  EXPECT_THROW(model.backward(Tensor::zeros({6, 4})), std::logic_error);
 }
 
 }  // namespace
