@@ -2,36 +2,19 @@
 
 #include <stdexcept>
 
-#include "fedpkd/comm/frame.hpp"
-
 namespace fedpkd::comm {
 
-void Channel::set_drop_probability(double p, tensor::Rng rng) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("Channel: drop probability must be in [0,1]");
-  }
-  faults_.set_drop(p, rng);
-}
-
-void Channel::set_node_offline(NodeId node, bool offline) {
-  faults_.set_node_offline(node, offline);
-}
-
-bool Channel::is_node_offline(NodeId node) const {
-  return faults_.is_node_offline(node);
-}
-
-SendReport Channel::send_framed(NodeId from, NodeId to,
-                                std::vector<std::byte> payload,
-                                PayloadKind kind) {
-  SendReport report;
+bool Channel::transmit(NodeId from, NodeId to,
+                       std::span<const std::byte> frame, SendReport& report) {
   // Dead link: detected before transmitting — no attempts, no dice, no
   // charge, exactly like the raw send path.
   if (faults_.is_node_offline(from) || faults_.is_node_offline(to)) {
-    return report;
+    return false;
   }
+  // Charged with the *payload's* kind: the frame header must not
+  // misattribute traffic.
+  const PayloadKind kind = peek_kind(frame.subspan(kFrameOverhead));
   const FaultPlan& plan = faults_.plan();
-  const std::vector<std::byte> frame = make_frame(payload);
   const std::size_t budget = plan.max_retries + 1;
   for (std::size_t attempt = 0; attempt < budget; ++attempt) {
     ++report.attempts;
@@ -39,17 +22,22 @@ SendReport Channel::send_framed(NodeId from, NodeId to,
     if (faults_.roll_drop()) {
       ++report.drops;  // lost in transit: never charged
     } else {
-      // The frame crossed the wire: charge it (with the *payload's* kind —
-      // the frame header must not misattribute traffic), then verify.
+      // The frame crossed the wire: charge it, then the receiver verifies
+      // what arrived.
       meter_->record(
           {meter_->current_round(), from, to, kind, frame.size()});
-      std::vector<std::byte> received = frame;
-      faults_.maybe_corrupt(received);
-      if (std::optional<std::vector<std::byte>> verified =
-              open_frame(received)) {
-        report.payload = std::move(*verified);
+      if (const std::optional<std::uint64_t> bit =
+              faults_.roll_corruption(frame.size())) {
+        // Copy-on-hit: the flip lands in the receiver's copy only.
+        std::vector<std::byte> received(frame.begin(), frame.end());
+        received[static_cast<std::size_t>(*bit / 8)] ^=
+            static_cast<std::byte>(1u << (*bit % 8));
+        if (open_frame(received)) {
+          throw std::logic_error("Channel: CRC32 accepted a bit flip");
+        }
+      } else if (open_frame(frame)) {
         report.retries = report.attempts - 1;
-        return report;
+        return true;
       }
       ++report.corrupt_detected;  // CRC caught it; retry below
     }
@@ -59,7 +47,7 @@ SendReport Channel::send_framed(NodeId from, NodeId to,
     }
   }
   report.retries = report.attempts - 1;  // budget exhausted, message lost
-  return report;
+  return false;
 }
 
 }  // namespace fedpkd::comm

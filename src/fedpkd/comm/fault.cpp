@@ -76,13 +76,11 @@ bool FaultInjector::roll_drop() {
   return drop_rng_.uniform() < plan_.drop_probability;
 }
 
-bool FaultInjector::maybe_corrupt(std::vector<std::byte>& frame) {
-  if (plan_.corrupt_probability <= 0.0 || frame.empty()) return false;
-  if (corrupt_rng_.uniform() >= plan_.corrupt_probability) return false;
-  const std::uint64_t bit = corrupt_rng_.uniform_index(8 * frame.size());
-  frame[static_cast<std::size_t>(bit / 8)] ^=
-      static_cast<std::byte>(1u << (bit % 8));
-  return true;
+std::optional<std::uint64_t> FaultInjector::roll_corruption(
+    std::size_t frame_bytes) {
+  if (plan_.corrupt_probability <= 0.0 || frame_bytes == 0) return std::nullopt;
+  if (corrupt_rng_.uniform() >= plan_.corrupt_probability) return std::nullopt;
+  return corrupt_rng_.uniform_index(8 * frame_bytes);
 }
 
 double FaultInjector::draw_latency_ms(NodeId from, NodeId to) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -90,9 +91,10 @@ class FaultInjector {
   /// so a lossless run's behavior is independent of the dice seed.
   bool roll_drop();
 
-  /// Rolls the corruption dice and, on a hit, flips one uniformly chosen bit
-  /// of `frame` in place. Returns whether the frame was corrupted.
-  bool maybe_corrupt(std::vector<std::byte>& frame);
+  /// Rolls the corruption dice for one delivered frame of `frame_bytes`
+  /// bytes (uniform(), then uniform_index(8 * frame_bytes) only on a hit):
+  /// the bit to flip, or nullopt. The caller flips it in its own copy.
+  std::optional<std::uint64_t> roll_corruption(std::size_t frame_bytes);
 
   /// Simulated latency of one transmission attempt on the (from, to) link:
   /// (base + jitter draw) * straggler factor. Draws from the latency stream

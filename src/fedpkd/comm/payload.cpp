@@ -62,21 +62,27 @@ const char* to_string(PayloadKind kind) {
   return "unknown";
 }
 
-std::vector<std::byte> encode(const WeightsPayload& payload) {
+std::vector<std::byte> encode(const WeightsPayload& payload,
+                              std::size_t headroom) {
   std::vector<std::byte> out;
-  out.reserve(1 + tensor::encoded_size(payload.flat.shape()));
+  out.reserve(headroom + 1 + tensor::encoded_size(payload.flat.shape()));
+  out.resize(headroom);
   put_kind(PayloadKind::kWeights, out);
   encode_tensor(payload.flat, out);
   return out;
 }
 
-std::vector<std::byte> encode(const LogitsPayload& payload) {
+std::vector<std::byte> encode(const LogitsPayload& payload,
+                              std::size_t headroom) {
   if (payload.logits.rank() != 2 ||
       payload.logits.rows() != payload.sample_ids.size()) {
     throw std::invalid_argument(
         "encode(LogitsPayload): sample_ids/logits mismatch");
   }
   std::vector<std::byte> out;
+  out.reserve(headroom + 5 + 4 * payload.sample_ids.size() +
+              tensor::encoded_size(payload.logits.shape()));
+  out.resize(headroom);
   put_kind(PayloadKind::kLogits, out);
   put_u32(static_cast<std::uint32_t>(payload.sample_ids.size()), out);
   for (std::uint32_t id : payload.sample_ids) put_u32(id, out);
@@ -84,8 +90,9 @@ std::vector<std::byte> encode(const LogitsPayload& payload) {
   return out;
 }
 
-std::vector<std::byte> encode(const PrototypesPayload& payload) {
-  std::vector<std::byte> out;
+std::vector<std::byte> encode(const PrototypesPayload& payload,
+                              std::size_t headroom) {
+  std::vector<std::byte> out(headroom);
   put_kind(PayloadKind::kPrototypes, out);
   put_u32(static_cast<std::uint32_t>(payload.entries.size()), out);
   for (const PrototypeEntry& e : payload.entries) {

@@ -55,10 +55,17 @@ struct PrototypesPayload {
 /// validated against the remaining bytes before any allocation, so truncated
 /// or adversarial inputs cannot trigger out-of-bounds reads or huge reserves.
 /// Byte sizes are exactly what the meter charges.
+///
+/// `headroom` zero bytes precede the encoding in the returned buffer, so a
+/// framed sender (comm::sealed_frame) writes its header in front of the
+/// payload without copying it.
 
-std::vector<std::byte> encode(const WeightsPayload& payload);
-std::vector<std::byte> encode(const LogitsPayload& payload);
-std::vector<std::byte> encode(const PrototypesPayload& payload);
+std::vector<std::byte> encode(const WeightsPayload& payload,
+                              std::size_t headroom = 0);
+std::vector<std::byte> encode(const LogitsPayload& payload,
+                              std::size_t headroom = 0);
+std::vector<std::byte> encode(const PrototypesPayload& payload,
+                              std::size_t headroom = 0);
 
 WeightsPayload decode_weights(std::span<const std::byte> bytes);
 LogitsPayload decode_logits(std::span<const std::byte> bytes);
@@ -66,16 +73,5 @@ PrototypesPayload decode_prototypes(std::span<const std::byte> bytes);
 
 /// Kind tag of an encoded payload (first byte), without full decoding.
 PayloadKind peek_kind(std::span<const std::byte> bytes);
-
-/// Static kind of each payload type (what peek_kind would report after
-/// encode). Lets generic senders charge the meter with the right kind
-/// without re-inspecting the wire bytes.
-inline PayloadKind kind_of(const WeightsPayload&) {
-  return PayloadKind::kWeights;
-}
-inline PayloadKind kind_of(const LogitsPayload&) { return PayloadKind::kLogits; }
-inline PayloadKind kind_of(const PrototypesPayload&) {
-  return PayloadKind::kPrototypes;
-}
 
 }  // namespace fedpkd::comm

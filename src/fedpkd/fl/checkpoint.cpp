@@ -1,6 +1,5 @@
 #include "fedpkd/fl/checkpoint.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -50,19 +49,6 @@ std::string get_string(std::span<const std::byte> bytes, std::size_t& offset) {
   return s;
 }
 
-std::vector<std::byte> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("checkpoint: cannot open " + path.string());
-  }
-  std::vector<char> buffer((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-  std::vector<std::byte> bytes(buffer.size());
-  std::transform(buffer.begin(), buffer.end(), bytes.begin(),
-                 [](char c) { return static_cast<std::byte>(c); });
-  return bytes;
-}
-
 }  // namespace
 
 void save_checkpoint(nn::Classifier& model,
@@ -79,7 +65,7 @@ void save_checkpoint(nn::Classifier& model,
 }
 
 nn::Classifier load_checkpoint(const std::filesystem::path& path) {
-  const auto bytes = read_file(path);
+  const auto bytes = durable::read_file_bytes(path);
   std::size_t offset = 0;
   if (bytes.size() < 8 || tensor::get_u32(bytes, offset) != kMagic) {
     throw std::runtime_error("checkpoint: bad magic in " + path.string());
@@ -648,7 +634,7 @@ void save_federation_checkpoint(const std::filesystem::path& path,
 FederationResume load_federation_checkpoint(const std::filesystem::path& path,
                                             Algorithm& algorithm,
                                             Federation& fed) {
-  const auto sealed = read_file(path);
+  const auto sealed = durable::read_file_bytes(path);
   const std::size_t payload =
       durable::verified_payload_size(sealed, "checkpoint " + path.string());
   return decode_federation_checkpoint(

@@ -16,6 +16,8 @@ namespace fedpkd::fl {
 namespace {
 
 using detail::BundleResult;
+using detail::SealedBundle;
+using detail::seal_bundle;
 using detail::send_bundle_reliable;
 using PendingUpload = EngineState::PendingUpload;
 
@@ -191,10 +193,11 @@ RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
   {
     StageSpan span(times.download_seconds);
     if (std::optional<PayloadBundle> bundle = stages.make_broadcast(ctx)) {
+      const SealedBundle sealed = seal_bundle(std::move(*bundle));
       ctx.broadcast_rx.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
         BundleResult sent = send_bundle_reliable(
-            fed.channel, comm::kServerId, ctx.active[i]->id, *bundle, faults);
+            fed.channel, comm::kServerId, ctx.active[i]->id, sealed, faults);
         downlink_ms[i] += sent.latency_ms;
         if (sent.wire) {
           eng.set_pulled(static_cast<std::uint32_t>(ctx.active[i]->id),
@@ -206,10 +209,10 @@ RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
     if (async_mode && eng.global_version > 0) {
       if (std::optional<PayloadBundle> bundle = stages.make_download(ctx)) {
         have_pull = true;
+        const SealedBundle sealed = seal_bundle(std::move(*bundle));
         for (std::size_t i = 0; i < n; ++i) {
           BundleResult sent = send_bundle_reliable(
-              fed.channel, comm::kServerId, ctx.active[i]->id, *bundle,
-              faults);
+              fed.channel, comm::kServerId, ctx.active[i]->id, sealed, faults);
           downlink_ms[i] += sent.latency_ms;
           if (sent.wire) {
             eng.set_pulled(static_cast<std::uint32_t>(ctx.active[i]->id),
@@ -245,25 +248,13 @@ RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
   faults.clients_crashed += injector.advance(round, comm::RoundStage::kUpload);
   {
     StageSpan span(times.upload_seconds);
-    stages.before_upload(ctx);
-    std::vector<PayloadBundle> bundles(n);
-    exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        bundles[i] = stages.make_upload(ctx, i, *ctx.active[i]);
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      if (fed.attacks.apply(round, ctx.active[i]->id, bundles[i].parts)) {
-        ++faults.attacks_injected;
-      }
-    }
-    for (Client* client : label_flipped) {
-      robust::flip_labels(client->train_data.labels, fed.num_classes);
-    }
+    std::vector<SealedBundle> sealed =
+        detail::seal_uploads(stages, ctx, label_flipped, faults);
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<std::uint32_t>(ctx.active[i]->id);
-      BundleResult sent = send_bundle_reliable(
-          fed.channel, ctx.active[i]->id, comm::kServerId, bundles[i], faults);
+      BundleResult sent =
+          send_bundle_reliable(fed.channel, ctx.active[i]->id,
+                               comm::kServerId, std::move(sealed[i]), faults);
       if (!sent.wire) continue;
       const double arrival = slice_start + downlink_ms[i] + sent.latency_ms;
       if (!async_mode && arrival > slice_end) {
@@ -380,11 +371,12 @@ RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
         StageSpan span(times.download_seconds);
         if (std::optional<PayloadBundle> bundle = stages.make_download(ctx)) {
           have_downlink = true;
+          const SealedBundle sealed = seal_bundle(std::move(*bundle));
           for (std::size_t i = 0; i < n; ++i) {
             BundleResult sent = send_bundle_reliable(fed.channel,
                                                      comm::kServerId,
                                                      ctx.active[i]->id,
-                                                     *bundle, faults);
+                                                     sealed, faults);
             download_ms_max = std::max(download_ms_max, sent.latency_ms);
             if (sent.wire) {
               eng.set_pulled(static_cast<std::uint32_t>(ctx.active[i]->id),

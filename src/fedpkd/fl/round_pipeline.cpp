@@ -28,49 +28,36 @@ comm::PrototypesPayload WireBundle::prototypes(std::size_t part) const {
 
 namespace detail {
 
-/// Transmits every part of `bundle` from `from` to `to` over the reliable
-/// transport, folding each part's SendReport into `stats`. All parts are
-/// sent even after one is lost for good, so the fault-dice sequence — and
-/// thus every other link's fate — is independent of delivery outcomes;
-/// frames that crossed the wire stay charged on the meter like a real
-/// network. Returns the verified wire bytes only if every part made it
-/// (all-or-nothing), plus the bundle's total simulated latency (parts travel
-/// sequentially over one link).
-BundleResult send_bundle_reliable(comm::Channel& channel, comm::NodeId from,
-                                  comm::NodeId to, const PayloadBundle& bundle,
-                                  RoundFaultStats& stats) {
-  BundleResult result;
-  WireBundle wire;
-  wire.parts.reserve(bundle.parts.size());
-  bool delivered = true;
-  std::size_t attempts = 0;
-  for (const StagePayload& part : bundle.parts) {
-    comm::SendReport report = std::visit(
-        [&](const auto& payload) {
-          return channel.send_reliable(from, to, payload);
-        },
-        part);
-    stats.send_attempts += report.attempts;
-    stats.retries += report.retries;
-    stats.frames_dropped += report.drops;
-    stats.corrupt_frames += report.corrupt_detected;
-    attempts += report.attempts;
-    result.latency_ms += report.latency_ms;
-    if (report.delivered()) {
-      wire.parts.push_back(std::move(*report.payload));
-    } else {
-      delivered = false;
+std::vector<SealedBundle> seal_uploads(RoundStages& stages, RoundContext& ctx,
+                                       const std::vector<Client*>& flipped,
+                                       RoundFaultStats& faults) {
+  Federation& fed = ctx.fed;
+  const std::size_t n = ctx.num_active();
+  stages.before_upload(ctx);
+  std::vector<PayloadBundle> bundles(n);
+  exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      bundles[i] = stages.make_upload(ctx, i, *ctx.active[i]);
+    }
+  });
+  // Adversarial injection, serial in slot order (robust::Payload is the
+  // same variant type as StagePayload, so the injector mutates the typed
+  // bundles in place before they are ever encoded for the wire).
+  for (std::size_t i = 0; i < n; ++i) {
+    if (fed.attacks.apply(ctx.round, ctx.active[i]->id, bundles[i].parts)) {
+      ++faults.attacks_injected;
     }
   }
-  if (delivered) {
-    result.wire = std::move(wire);
-  } else if (attempts > 0) {
-    // The transport tried and gave up. An offline endpoint (zero attempts)
-    // is not a transport loss — it is accounted as a crash, not a lost
-    // bundle.
-    ++stats.bundles_lost;
+  for (Client* client : flipped) {
+    robust::flip_labels(client->train_data.labels, fed.num_classes);
   }
-  return result;
+  std::vector<SealedBundle> sealed(n);
+  exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      sealed[i] = seal_bundle(std::move(bundles[i]));
+    }
+  });
+  return sealed;
 }
 
 std::string format_score(double value) {
@@ -264,6 +251,8 @@ void apply_anomaly_filter(Federation& fed,
 namespace {
 
 using detail::BundleResult;
+using detail::SealedBundle;
+using detail::seal_bundle;
 using detail::send_bundle_reliable;
 
 /// The staged body of one round; RoundPipeline::run wraps it with the
@@ -328,10 +317,11 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
   {
     StageSpan span(times.download_seconds);
     if (std::optional<PayloadBundle> bundle = stages.make_broadcast(ctx)) {
+      const SealedBundle sealed = seal_bundle(std::move(*bundle));
       ctx.broadcast_rx.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
         BundleResult sent = send_bundle_reliable(
-            fed.channel, comm::kServerId, ctx.active[i]->id, *bundle, faults);
+            fed.channel, comm::kServerId, ctx.active[i]->id, sealed, faults);
         broadcast_ms_max = std::max(broadcast_ms_max, sent.latency_ms);
         ctx.broadcast_rx[i] = std::move(sent.wire);
       }
@@ -362,29 +352,14 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
   std::vector<Contribution> contributions;
   {
     StageSpan span(times.upload_seconds);
-    stages.before_upload(ctx);
-    std::vector<PayloadBundle> bundles(n);
-    exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        bundles[i] = stages.make_upload(ctx, i, *ctx.active[i]);
-      }
-    });
-    // Adversarial injection, serial in slot order (robust::Payload is the
-    // same variant type as StagePayload, so the injector mutates the typed
-    // bundles in place before they are ever encoded for the wire).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (fed.attacks.apply(round, ctx.active[i]->id, bundles[i].parts)) {
-        ++faults.attacks_injected;
-      }
-    }
-    for (Client* client : label_flipped) {
-      robust::flip_labels(client->train_data.labels, fed.num_classes);
-    }
+    std::vector<SealedBundle> sealed =
+        detail::seal_uploads(stages, ctx, label_flipped, faults);
     std::vector<Contribution> candidates;
     std::vector<double> candidate_latency;
     for (std::size_t i = 0; i < n; ++i) {
-      BundleResult sent = send_bundle_reliable(
-          fed.channel, ctx.active[i]->id, comm::kServerId, bundles[i], faults);
+      BundleResult sent =
+          send_bundle_reliable(fed.channel, ctx.active[i]->id,
+                               comm::kServerId, std::move(sealed[i]), faults);
       if (!sent.wire) continue;
       upload_ms_max = std::max(
           upload_ms_max,
@@ -494,9 +469,10 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
     StageSpan span(times.download_seconds);
     if (std::optional<PayloadBundle> bundle = stages.make_download(ctx)) {
       have_downlink = true;
+      const SealedBundle sealed = seal_bundle(std::move(*bundle));
       for (std::size_t i = 0; i < n; ++i) {
         BundleResult sent = send_bundle_reliable(
-            fed.channel, comm::kServerId, ctx.active[i]->id, *bundle, faults);
+            fed.channel, comm::kServerId, ctx.active[i]->id, sealed, faults);
         download_ms_max = std::max(download_ms_max, sent.latency_ms);
         downlink[i] = std::move(sent.wire);
       }

@@ -20,10 +20,11 @@ namespace fedpkd::fl {
 ///  * participation: the pipeline begins the round (sampling this round's
 ///    participants) and threads one active-client list through every stage;
 ///  * transport: every client<->server transfer goes through
-///    comm::Channel::send_reliable, so every byte is encoded for real,
+///    comm::Channel::send_sealed, so every byte is encoded for real,
 ///    CRC32-framed, metered, retried under loss/corruption, and subject to
 ///    the federation's FaultPlan — a stage implementation never touches the
-///    channel;
+///    channel. A broadcast or download is sealed once per stage and shared
+///    by every recipient; uploads are sealed on the lanes;
 ///  * round discipline under faults (Federation::policy): uploads slower
 ///    than the deadline are excluded as stragglers, surviving contributions
 ///    are validated against the poisoned-update policy, and a round below

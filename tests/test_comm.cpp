@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "fedpkd/comm/channel.hpp"
 #include "fedpkd/comm/fault.hpp"
@@ -386,23 +389,76 @@ TEST(Frame, Crc32MatchesIeee8023CheckValue) {
     bytes.push_back(static_cast<std::byte>(c));
   }
   EXPECT_EQ(crc32(bytes), 0xcbf43926u);
+  EXPECT_EQ(crc32_portable(bytes), 0xcbf43926u);
+  EXPECT_EQ(crc32_naive(bytes), 0xcbf43926u);
   EXPECT_EQ(crc32({}), 0u);
+  EXPECT_EQ(crc32_portable({}), 0u);
+  EXPECT_EQ(crc32_naive({}), 0u);
+}
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> bytes(n);
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.uniform_index(256));
+  return bytes;
+}
+
+TEST(Frame, Crc32TiersMatchNaiveAtEveryLengthAndAlignment) {
+  // Every length up to 4096 from 16 misaligned starts: covers the fold's
+  // 64-byte minimum, its 16-byte tail blocks, and the slice-by-16 tail.
+  const std::vector<std::byte> buffer = random_bytes(4096 + 16, 7);
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      const auto bytes = std::span(buffer).subspan(start, n);
+      const std::uint32_t want = crc32_naive(bytes);
+      ASSERT_EQ(crc32(bytes), want) << "start " << start << " length " << n;
+      ASSERT_EQ(crc32_portable(bytes), want)
+          << "start " << start << " length " << n;
+    }
+  }
+}
+
+TEST(Frame, Crc32TiersMatchNaiveOnLargeRandomBuffers) {
+  // 1.5 MB is one durable generation; odd lengths leave a tail.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::vector<std::byte> buffer =
+        random_bytes((3u << 19) + 2 * seed + 1, seed);
+    const std::uint32_t want = crc32_naive(buffer);
+    EXPECT_EQ(crc32(buffer), want) << seed;
+    EXPECT_EQ(crc32_portable(buffer), want) << seed;
+  }
+}
+
+/// A sealed frame around `payload`: the header reserved in front, then
+/// seal_frame — the layout sealed_frame builds from a typed payload.
+std::vector<std::byte> seal_bytes(const std::vector<std::byte>& payload) {
+  std::vector<std::byte> frame(kFrameOverhead + payload.size());
+  std::copy(payload.begin(), payload.end(), frame.begin() + kFrameOverhead);
+  seal_frame(frame);
+  return frame;
 }
 
 TEST(Frame, RoundTripPreservesPayloadWithFixedOverhead) {
   Rng rng(43);
-  const auto payload = encode(WeightsPayload{Tensor::randn({17}, rng)});
-  const auto frame = make_frame(payload);
+  const WeightsPayload typed{Tensor::randn({17}, rng)};
+  const auto payload = encode(typed);
+  const auto frame = sealed_frame(typed);
   EXPECT_EQ(frame.size(), payload.size() + kFrameOverhead);
+  EXPECT_EQ(frame, seal_bytes(payload));
   const auto back = open_frame(frame);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, payload);
+  // Verified in place: the payload is a view into the frame, not a copy.
+  EXPECT_EQ(back->data(), frame.data() + kFrameOverhead);
+  EXPECT_TRUE(std::ranges::equal(*back, payload));
+  std::vector<std::byte> short_frame(kFrameOverhead - 1);
+  EXPECT_THROW(seal_frame(short_frame), std::invalid_argument);
 }
 
 TEST(Frame, EverySingleBitFlipIsDetected) {
   std::vector<std::byte> payload;
   for (int i = 0; i < 13; ++i) payload.push_back(static_cast<std::byte>(i * 7));
-  const auto frame = make_frame(payload);
+  const auto frame = seal_bytes(payload);
+  ASSERT_TRUE(open_frame(frame).has_value());
   for (std::size_t bit = 0; bit < 8 * frame.size(); ++bit) {
     auto tampered = frame;
     tampered[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
@@ -411,7 +467,8 @@ TEST(Frame, EverySingleBitFlipIsDetected) {
 }
 
 TEST(Frame, RejectsTruncatedBuffers) {
-  const auto frame = make_frame(std::vector<std::byte>(4, std::byte{0x5a}));
+  const auto frame = seal_bytes(std::vector<std::byte>(4, std::byte{0x5a}));
+  ASSERT_TRUE(open_frame(frame).has_value());
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
     EXPECT_FALSE(open_frame(std::span(frame).first(cut)).has_value())
         << "cut " << cut;
@@ -466,10 +523,8 @@ TEST(FaultInjector, FaultTypeStreamsAreIndependent) {
   a.set_plan(drop_only);
   FaultInjector b;
   b.set_plan(both);
-  const std::vector<std::byte> frame(16, std::byte{0});
   for (int i = 0; i < 128; ++i) {
-    std::vector<std::byte> scratch = frame;
-    b.maybe_corrupt(scratch);  // burns corruption dice on b only
+    b.roll_corruption(16);  // burns corruption dice on b only
     EXPECT_EQ(a.roll_drop(), b.roll_drop()) << i;
   }
 }
@@ -516,12 +571,10 @@ TEST(FaultInjector, SaveLoadStateReplaysIdenticalDice) {
   plan.crashes = {{0, RoundStage::kUpload, 1}, {5, RoundStage::kUpload, 2}};
   FaultInjector a;
   a.set_plan(plan);
-  const std::vector<std::byte> frame(8, std::byte{0x3c});
   // Burn some state: dice draws, one fired crash, one manual blackout.
   for (int i = 0; i < 17; ++i) {
     a.roll_drop();
-    std::vector<std::byte> scratch = frame;
-    a.maybe_corrupt(scratch);
+    a.roll_corruption(8);
     a.draw_latency_ms(0, kServerId);
   }
   a.advance(0, RoundStage::kUpload);
@@ -539,10 +592,7 @@ TEST(FaultInjector, SaveLoadStateReplaysIdenticalDice) {
   EXPECT_EQ(b.crash_cursor(), a.crash_cursor());
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(a.roll_drop(), b.roll_drop()) << i;
-    std::vector<std::byte> sa = frame;
-    std::vector<std::byte> sb = frame;
-    EXPECT_EQ(a.maybe_corrupt(sa), b.maybe_corrupt(sb)) << i;
-    EXPECT_EQ(sa, sb) << i;
+    EXPECT_EQ(a.roll_corruption(8), b.roll_corruption(8)) << i;
     EXPECT_DOUBLE_EQ(a.draw_latency_ms(1, kServerId),
                      b.draw_latency_ms(1, kServerId))
         << i;
@@ -675,6 +725,123 @@ TEST(Channel, BackoffLatencyIsDeterministicSimulatedTime) {
       channel.send_reliable(0, kServerId, WeightsPayload{Tensor::zeros({1})});
   // 3 attempts x 2ms link latency, plus backoff 1*2^0 + 1*2^1 between them.
   EXPECT_DOUBLE_EQ(report.latency_ms, 3 * 2.0 + 1.0 + 2.0);
+}
+
+TEST(Channel, CorruptedDeliveryNeverMutatesASharedFrame) {
+  // One broadcast frame serves every recipient. A corruption hit on
+  // recipient k flips a bit in the receiver's copy only: recipient k+1 gets
+  // the pristine payload and the shared frame still verifies.
+  Meter meter;
+  Channel channel(meter);
+  Rng rng(52);
+  const WeightsPayload payload{Tensor::randn({40}, rng)};
+  const std::vector<std::byte> frame = sealed_frame(payload);
+  const std::vector<std::byte> pristine = frame;
+  FaultPlan always;
+  always.corrupt_probability = 1.0;
+  always.max_retries = 0;
+  channel.set_fault_plan(always);
+  const SendReport hit = channel.send_sealed(kServerId, 3, frame);
+  EXPECT_FALSE(hit.delivered());
+  EXPECT_EQ(hit.corrupt_detected, 1u);
+  EXPECT_EQ(frame, pristine);
+  ASSERT_TRUE(open_frame(frame).has_value());
+
+  channel.set_fault_plan(FaultPlan{});
+  const SendReport next = channel.send_sealed(kServerId, 4, frame);
+  ASSERT_TRUE(next.delivered());
+  EXPECT_EQ(*next.payload, encode(payload));
+  EXPECT_EQ(frame, pristine);
+}
+
+TEST(Channel, OwnedFrameIsHandedOverWithoutItsHeader) {
+  Meter meter;
+  Channel channel(meter);
+  Rng rng(53);
+  const WeightsPayload payload{Tensor::randn({40}, rng)};
+  std::vector<std::byte> frame = sealed_frame(payload);
+  const std::byte* buffer = frame.data();
+  const SendReport report = channel.send_sealed(2, kServerId, std::move(frame));
+  ASSERT_TRUE(report.delivered());
+  EXPECT_EQ(*report.payload, encode(payload));
+  EXPECT_EQ(report.payload->data(), buffer);  // the sender's own buffer
+  EXPECT_EQ(meter.total(), encode(payload).size() + kFrameOverhead);
+}
+
+// FNV-1a over little-endian 64-bit words and raw bytes.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void byte(std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void bytes(std::span<const std::byte> data) {
+    for (std::byte b : data) byte(static_cast<std::uint8_t>(b));
+  }
+};
+
+TEST(Channel, GoldenSharedBroadcastUnderSeededFaults) {
+  // A two-part bundle sealed once and sent to 16 recipients under seeded
+  // drop, corruption and jitter. The hashes were recorded when every send
+  // still encoded and framed its own copy per recipient (send_reliable), so
+  // seal-once must reproduce every report, meter record and delivered byte.
+  Meter meter;
+  Channel channel(meter);
+  FaultPlan plan;
+  plan.seed = 1;
+  plan.drop_probability = 0.2;
+  plan.corrupt_probability = 0.05;
+  plan.latency_ms = 1.5;
+  plan.jitter_ms = 3.0;
+  channel.set_fault_plan(plan);
+  Rng rng(77);
+  const WeightsPayload weights{Tensor::randn({2000}, rng)};
+  LogitsPayload logits;
+  logits.sample_ids.resize(64);
+  std::iota(logits.sample_ids.begin(), logits.sample_ids.end(), 0u);
+  logits.logits = Tensor::randn({64, 10}, rng);
+  const std::vector<std::vector<std::byte>> frames = {sealed_frame(weights),
+                                                      sealed_frame(logits)};
+  Fnv reports;
+  Fnv delivered;
+  std::size_t drops = 0;
+  std::size_t corrupt = 0;
+  std::size_t lost = 0;
+  for (NodeId r = 0; r < 16; ++r) {
+    meter.begin_round(static_cast<std::size_t>(r / 4));
+    for (const std::vector<std::byte>& frame : frames) {
+      const SendReport report = channel.send_sealed(kServerId, r, frame);
+      reports.word(report.attempts);
+      reports.word(report.retries);
+      reports.word(report.drops);
+      reports.word(report.corrupt_detected);
+      reports.word(std::bit_cast<std::uint64_t>(report.latency_ms));
+      reports.word(report.delivered() ? 1 : 0);
+      if (report.delivered()) delivered.bytes(*report.payload);
+      drops += report.drops;
+      corrupt += report.corrupt_detected;
+      lost += report.delivered() ? 0 : 1;
+    }
+  }
+  Fnv log;
+  for (const TrafficRecord& record : meter.records()) {
+    log.word(record.round);
+    log.word(static_cast<std::uint64_t>(record.from));
+    log.word(static_cast<std::uint64_t>(record.to));
+    log.word(static_cast<std::uint64_t>(record.kind));
+    log.word(record.bytes);
+  }
+  // The plan exercises every path: drops, a caught corruption, a loss.
+  EXPECT_EQ(drops, 10u);
+  EXPECT_EQ(corrupt, 2u);
+  EXPECT_EQ(lost, 1u);
+  EXPECT_EQ(meter.records().size(), 33u);
+  EXPECT_EQ(reports.h, 0x45dc599ead7f63edull);
+  EXPECT_EQ(log.h, 0xb74f74df623a9831ull);
+  EXPECT_EQ(delivered.h, 0xc7de2f990c9541cfull);
 }
 
 // ------------------------------------------------------------- validation ---
