@@ -598,6 +598,11 @@ FederationResume decode_federation_checkpoint(std::span<const std::byte> bytes,
                              std::to_string(fed.num_clients()));
   }
   fed.pool.load_state(bytes, offset);
+  // Checkpoints are written after evaluate_round, whose cohort lookups an
+  // uninterrupted run charges to the next round's pool counters. Replay
+  // them: they are warm hits on the LRU tail in the same order, so the LRU
+  // is unchanged and the first resumed round reports the same counts.
+  for (std::size_t id : fed.eval_client_ids()) (void)fed.client(id);
   fed.engine.load_state(bytes, offset);
 
   const auto blob_size =

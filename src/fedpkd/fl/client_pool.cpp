@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/nn/model_zoo.hpp"
 #include "fedpkd/tensor/serialize.hpp"
 
@@ -60,65 +61,22 @@ Client& ClientPool::acquire(std::size_t id) {
     // bitwise and performance-wise identical to the pre-pool federation.
     return resident_.at(id);
   }
-  std::scoped_lock lock(mu_);
-  return acquire_locked(id);
-}
-
-Client& ClientPool::acquire_locked(std::size_t id) {
   if (id >= spec_.population) {
     throw std::out_of_range("ClientPool: client id out of range");
   }
+  std::scoped_lock lock(mu_);
   if (warm_[id] != nullptr) {
     ++stats_.hits;
     touch_locked(id);
-    return *warm_[id];
+  } else {
+    hydrate_locked(std::span<const std::size_t>(&id, 1));
   }
-  ++stats_.misses;
-  ++stats_.hydrations;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto client = std::make_unique<Client>(build_client(id));
-  if (auto it = blobs_.find(id); it != blobs_.end()) {
-    std::size_t offset = 0;
-    client->rng = tensor::get_rng(it->second, offset);
-    client->model.set_flat_weights(tensor::decode_tensor(it->second, offset));
-  }
-  warm_[id] = std::move(client);
-  lru_.push_back(id);
-  lru_pos_[id] = std::prev(lru_.end());
-  evict_excess_locked();
-  stats_.hydration_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return *warm_[id];
 }
 
 void ClientPool::touch_locked(std::size_t id) {
   auto it = lru_pos_.find(id);
   lru_.splice(lru_.end(), lru_, it->second);  // move to most-recent position
-}
-
-void ClientPool::evict_excess_locked() {
-  // Pinned cohorts may legitimately exceed a small configured capacity; the
-  // effective bound never evicts a pinned client.
-  const std::size_t cap = std::max(spec_.warm_capacity, pinned_.size());
-  auto it = lru_.begin();
-  while (lru_.size() > cap && it != lru_.end()) {
-    const std::size_t id = *it;
-    // Never evict the most-recent entry: when a pinned cohort fills the cap,
-    // the walk would otherwise reach the client acquire() is mid-way through
-    // handing out and return a reference to a reset slot.
-    if (std::next(it) == lru_.end()) break;
-    if (pinned_.count(id) != 0) {
-      ++it;
-      continue;
-    }
-    blobs_[id] = dehydrate(*warm_[id]);
-    warm_[id].reset();
-    lru_pos_.erase(id);
-    it = lru_.erase(it);
-    ++stats_.dehydrations;
-    ++stats_.evictions;
-  }
 }
 
 bool ClientPool::is_warm(std::size_t id) const {
@@ -146,16 +104,104 @@ std::vector<std::size_t> ClientPool::warm_ids_lru() const {
 void ClientPool::pin_cohort(std::span<const std::size_t> ids) {
   if (!virtual_) return;
   std::scoped_lock lock(mu_);
+  // Validate first: a bad id must leave the pins, the warm set and the
+  // counters exactly as they were.
+  for (std::size_t id : ids) {
+    if (id >= spec_.population) {
+      throw std::out_of_range("ClientPool: client id out of range");
+    }
+  }
   pinned_.clear();
   pinned_.insert(ids.begin(), ids.end());
-  // Hydrate serially in the given (id) order so eviction is deterministic.
-  for (std::size_t id : ids) acquire_locked(id);
+  hydrate_locked(ids);
+}
+
+void ClientPool::hydrate_locked(std::span<const std::size_t> ids) {
+  const auto t0 = std::chrono::steady_clock::now();
+  // The cold members: ids not yet warm, at their first occurrence.
+  std::vector<std::size_t> cold;
+  std::unordered_set<std::size_t> seen;
+  for (std::size_t id : ids) {
+    if (warm_[id] == nullptr && seen.insert(id).second) cold.push_back(id);
+  }
+  if (!cold.empty()) evict_for_locked(cold.size());
+  // Build on the lanes. hydrate() reads only spec_ and blobs_, which
+  // nothing writes until the lanes are done.
+  std::vector<std::unique_ptr<Client>> built(cold.size());
+  exec::parallel_for(cold.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) built[i] = hydrate(cold[i]);
+  });
+  // Install serially in the given order; a repeated id finds itself warm on
+  // its second visit and counts as a hit.
+  std::size_t next = 0;
+  for (std::size_t id : ids) {
+    if (warm_[id] != nullptr) {
+      ++stats_.hits;
+      touch_locked(id);
+      continue;
+    }
+    ++stats_.misses;
+    ++stats_.hydrations;
+    warm_[id] = std::move(built[next++]);
+    lru_.push_back(id);
+    lru_pos_[id] = std::prev(lru_.end());
+  }
+  stats_.hydration_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+}
+
+void ClientPool::evict_for_locked(std::size_t incoming) {
+  // Pinned cohorts may legitimately exceed a small configured capacity; the
+  // effective bound never evicts a pinned client. For a pin, one serial
+  // install-then-evict per id would retire exactly these victims: touches
+  // and installs only move pinned ids, so the unpinned entries keep their
+  // relative LRU order and each eviction takes the oldest of them until the
+  // set fits the cap or none is left.
+  const std::size_t cap = std::max(spec_.warm_capacity, pinned_.size());
+  if (lru_.size() + incoming <= cap) return;
+  const std::size_t excess = lru_.size() + incoming - cap;
+  std::vector<std::size_t> victims;
+  for (std::size_t id : lru_) {
+    if (victims.size() == excess) break;
+    if (pinned_.count(id) == 0) victims.push_back(id);
+  }
+  std::vector<std::vector<std::byte>> blobs(victims.size());
+  exec::parallel_for(victims.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      blobs[i] = dehydrate(*warm_[victims[i]]);
+    }
+  });
+  for (std::size_t i = 0; i < victims.size(); ++i) {
+    const std::size_t id = victims[i];
+    blobs_[id] = std::move(blobs[i]);
+    warm_[id].reset();
+    lru_.erase(lru_pos_.at(id));
+    lru_pos_.erase(id);
+    ++stats_.dehydrations;
+    ++stats_.evictions;
+  }
 }
 
 PoolStats ClientPool::stats() const {
   if (!virtual_) return {};
   std::scoped_lock lock(mu_);
   return stats_;
+}
+
+PoolRoundStats ClientPool::take_round_stats() {
+  std::scoped_lock lock(mu_);
+  PoolRoundStats round;
+  round.hits = stats_.hits - window_.hits;
+  round.misses = stats_.misses - window_.misses;
+  round.hydrations = stats_.hydrations - window_.hydrations;
+  round.dehydrations = stats_.dehydrations - window_.dehydrations;
+  round.evictions = stats_.evictions - window_.evictions;
+  round.warm_clients = lru_.size();
+  round.hydration_seconds =
+      stats_.hydration_seconds - window_.hydration_seconds;
+  window_ = stats_;
+  return round;
 }
 
 Client ClientPool::build_client(std::size_t id) const {
@@ -190,6 +236,16 @@ Client ClientPool::build_client(std::size_t id) const {
   return Client(static_cast<comm::NodeId>(id), std::move(cc), std::move(model),
                 std::move(train), std::move(test),
                 spec_.base_rng.split(kClientStream + id));
+}
+
+std::unique_ptr<Client> ClientPool::hydrate(std::size_t id) const {
+  auto client = std::make_unique<Client>(build_client(id));
+  if (auto it = blobs_.find(id); it != blobs_.end()) {
+    std::size_t offset = 0;
+    client->rng = tensor::get_rng(it->second, offset);
+    client->model.set_flat_weights(tensor::decode_tensor(it->second, offset));
+  }
+  return client;
 }
 
 std::vector<std::byte> ClientPool::dehydrate(Client& client) const {
@@ -286,9 +342,13 @@ void ClientPool::load_state(std::span<const std::byte> bytes,
                       bytes.begin() + static_cast<std::ptrdiff_t>(offset + size));
     offset += size;
   }
-  // Rebuild the warm set in recorded recency order so the next eviction
-  // decision resumes exactly where the interrupted run left off.
-  for (std::size_t id : lru_order) acquire_locked(id);
+  // Rebuild the recorded warm set on the lanes and install it in recorded
+  // recency order. The LRU is empty, so nothing is evicted even when a
+  // pinned cohort held the set above warm_capacity; the next pin decides
+  // evictions exactly as the interrupted run would have. The restore is
+  // charged to no round.
+  hydrate_locked(lru_order);
+  window_ = stats_;
 }
 
 }  // namespace fedpkd::fl

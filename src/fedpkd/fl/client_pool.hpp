@@ -12,19 +12,23 @@
 
 #include "fedpkd/data/synthetic_vision.hpp"
 #include "fedpkd/fl/client.hpp"
+#include "fedpkd/fl/metrics.hpp"
 
 namespace fedpkd::fl {
 
 /// Cumulative hydration counters of one ClientPool. All counts are
-/// deterministic in virtual mode because the pipeline acquires clients
-/// serially in id order; hydration_seconds is wall-clock and therefore not.
+/// deterministic in virtual mode: cohorts are pinned and installed in id
+/// order whatever the lane count. hydration_seconds is wall-clock and
+/// therefore not: the time of each miss, pin and restore, every call counted
+/// once (a pin's builds run concurrently on the lanes, so this is elapsed
+/// time, not the sum of per-client build times).
 struct PoolStats {
   std::size_t hits = 0;          // acquire() served from the warm set
   std::size_t misses = 0;        // acquire() had to hydrate
   std::size_t hydrations = 0;    // clients rebuilt (fresh or from a blob)
   std::size_t dehydrations = 0;  // clients serialized to a blob on eviction
   std::size_t evictions = 0;     // warm clients retired by the LRU bound
-  double hydration_seconds = 0.0;
+  double hydration_seconds = 0.0;  // wall-clock; see above
 };
 
 /// The virtual-client pool: the population is a set of derivable
@@ -47,9 +51,14 @@ struct PoolStats {
 ///
 /// Determinism contract: acquire() is thread-safe (one mutex guards all pool
 /// structures), but LRU recency — and therefore eviction order — follows the
-/// caller's acquire order. The round pipeline and checkpoint code only
-/// acquire serially in client-id order, so eviction, hydration counts, and
-/// every downstream result are bitwise independent of the thread count.
+/// caller's acquire order. The round pipeline and checkpoint code only pin
+/// and acquire serially in client-id order, so eviction, hydration counts,
+/// and every downstream result are bitwise independent of the thread count.
+/// Hydration (pin_cohort, load_state, an acquire() miss) fans the
+/// per-client work — building, blob restore, dehydration — out to the exec
+/// lanes while holding the mutex; the lanes only read the spec, the blob
+/// table and the victims and never take the mutex, and every structural
+/// change happens serially in id order.
 /// Rehydration is exact: blob weights and RNG state (including the Box-Muller
 /// cache) round-trip bitwise, and the regenerated shard is byte-identical
 /// because the sampler streams are derived from (base seed, id) only.
@@ -102,12 +111,28 @@ class ClientPool {
   /// Warm client ids, least recently acquired first. Resident mode: all ids.
   std::vector<std::size_t> warm_ids_lru() const;
 
-  /// Pins this round's cohort: hydrates every id serially (deterministic
-  /// eviction order) and protects them from eviction until the next pin.
-  /// No-op in resident mode.
+  /// Pins this round's cohort and protects it from eviction until the next
+  /// pin. Four phases under the pool mutex:
+  ///  1. validate every id (out_of_range leaves the pool untouched), then
+  ///     replace the pins;
+  ///  2. if any member is cold, evict first: the oldest unpinned LRU entries
+  ///     that would overflow max(warm_capacity, pins), dehydrated on the
+  ///     lanes, retired serially;
+  ///  3. build every cold member (and apply its blob) on the lanes;
+  ///  4. install in the given order: a cold member counts a miss and joins
+  ///     the LRU tail, a warm one counts a hit and is touched.
+  /// LRU order, blobs and counters equal one serial acquire per id at any
+  /// lane count. No-op in resident mode.
   void pin_cohort(std::span<const std::size_t> ids);
 
   PoolStats stats() const;
+
+  /// Virtual mode: the counters accumulated since the previous call (one
+  /// round's worth when the pipeline calls it at the end of every round)
+  /// plus the current warm-set size. load_state restarts the window, so a
+  /// restore is charged to no round and a resumed run reports the same
+  /// per-round counts as an uninterrupted one.
+  PoolRoundStats take_round_stats();
 
   /// The compact dehydration blob of one client: RNG state + flat weights,
   /// in the checkpoint codec format. Datasets are never stored — shards are
@@ -117,6 +142,8 @@ class ClientPool {
   /// Checkpoint v4 body: mode byte, then either every resident client's
   /// RNG + weights (id order, the v3 layout) or the virtual pool state
   /// (warm-LRU id list in recency order + the touched-client blob table).
+  /// load_state rebuilds the recorded warm set on the lanes and installs it
+  /// in recorded order without evicting, even above warm_capacity.
   void save_state(std::vector<std::byte>& out);
   void load_state(std::span<const std::byte> bytes, std::size_t& offset);
 
@@ -124,9 +151,18 @@ class ClientPool {
 
  private:
   Client build_client(std::size_t id) const;  // fresh from the spec
-  Client& acquire_locked(std::size_t id);
+  /// build_client plus the blob restore, if any. Reads only spec_ and
+  /// blobs_, so lanes may run it while the mutex holder waits.
+  std::unique_ptr<Client> hydrate(std::size_t id) const;
   void touch_locked(std::size_t id);
-  void evict_excess_locked();
+  /// Brings every id warm, in order: evict for the cold members first, build
+  /// them on the lanes, then install serially (cold ids count a miss and
+  /// join the LRU tail, warm ones count a hit and are touched).
+  void hydrate_locked(std::span<const std::size_t> ids);
+  /// Makes room for `incoming` new clients under the pinned cap, before
+  /// they are built: the oldest unpinned clients are dehydrated on the
+  /// lanes, then retired serially.
+  void evict_for_locked(std::size_t incoming);
 
   bool virtual_ = false;
   std::vector<Client> resident_;  // resident mode storage; never resized
@@ -138,6 +174,7 @@ class ClientPool {
   std::unordered_set<std::size_t> pinned_;
   mutable std::mutex mu_;
   PoolStats stats_;
+  PoolStats window_;  // stats_ at the last take_round_stats or load_state
 };
 
 }  // namespace fedpkd::fl

@@ -500,28 +500,15 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
 
 RoundOutcome RoundPipeline::run(RoundStages& stages, Federation& fed,
                                 std::size_t round) {
-  // Diff against the previous round's end-of-round snapshot (zero before the
-  // first round) so hydration work done on this round's behalf *before* this
-  // call — run_federation pins the cohort via begin_round first, and the
-  // algorithm constructor warms its reference client — is charged to the
-  // round it served rather than vanishing between snapshots.
-  const PoolStats before = pool_snapshot_;
   RoundOutcome outcome = fed.policy.mode == RoundMode::kSync
                              ? run_staged(stages, fed, round)
                              : run_event_driven(stages, fed, round);
   if (fed.pool.virtual_mode()) {
-    const PoolStats after = fed.pool.stats();
-    pool_snapshot_ = after;
-    PoolRoundStats delta;
-    delta.hits = after.hits - before.hits;
-    delta.misses = after.misses - before.misses;
-    delta.hydrations = after.hydrations - before.hydrations;
-    delta.dehydrations = after.dehydrations - before.dehydrations;
-    delta.evictions = after.evictions - before.evictions;
-    delta.warm_clients = fed.pool.warm_count();
-    delta.hydration_seconds =
-        after.hydration_seconds - before.hydration_seconds;
-    outcome.pool = delta;
+    // The pool's window spans back to the previous round's end, so work done
+    // on this round's behalf before this call — run_federation pins the
+    // cohort via begin_round first, and the algorithm constructor warms its
+    // reference client — is charged to the round it served.
+    outcome.pool = fed.pool.take_round_stats();
   }
   return outcome;
 }

@@ -194,7 +194,7 @@ struct RoundOutcome {
   /// history (checkpoint v3).
   std::vector<ClientAnomaly> anomaly;
   /// Client-pool hydration counters of this round (virtual federations only;
-  /// the delta of Federation::pool.stats() across the round). Observability
+  /// Federation::pool.take_round_stats() at the round end). Observability
   /// data, never serialized.
   std::optional<PoolRoundStats> pool;
   /// Event-engine counters of this round: simulated makespan, flushes,
@@ -212,13 +212,6 @@ class RoundPipeline {
   /// sampling participants, if the caller has not already) and returns the
   /// per-stage wall-clock spans plus this round's fault counters.
   RoundOutcome run(RoundStages& stages, Federation& fed, std::size_t round);
-
- private:
-  /// Pool counters at the end of the previous round. Deltas are taken
-  /// against this (not a snapshot at entry) so work that precedes run() —
-  /// run_federation's begin_round pins and hydrates the cohort before
-  /// calling the algorithm — is still charged to the round it served.
-  PoolStats pool_snapshot_;
 };
 
 /// Base for algorithms expressed as RoundStages: run_round delegates to the

@@ -10,13 +10,20 @@
 //    adversarial clients,
 //  * the free-rider replay cache surviving dehydration of the attacker,
 //  * checkpoint v4 crash-resume of a virtual federation with eviction
-//    churn, plus mode/population mismatch rejection,
+//    churn (also with a warm set above its capacity, at 1 and 4 lanes, with
+//    per-round pool counters equal to the straight run's), plus
+//    mode/population mismatch rejection,
 //  * hierarchical edge aggregation: partition bounds, bitwise-degenerate
 //    configurations, and the two-tier path across payload kinds,
-//  * thread-safety of concurrent hydrate/evict (run under TSan in CI).
+//  * golden hydration equivalence: a seeded pin script whose LRU order,
+//    counters and pool-state bytes were recorded with the serial hydration
+//    loop, checked at 1 and 4 lanes, plus all-or-nothing pin validation,
+//  * thread-safety of concurrent hydrate/evict and of lane-parallel pins
+//    (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -409,25 +416,40 @@ TEST(PoolAttacks, FreeRiderReplayCacheSurvivesDehydration) {
 
 // --------------------------------------------------- checkpoint v4 resume ----
 
-void expect_virtual_bitwise_resume(const std::string& name) {
+/// Cuts a 6-round virtual run at round 3 and resumes it from the checkpoint
+/// at `threads` lanes. The stitched history must equal the straight serial
+/// run bitwise, every resumed round must report the straight run's pool
+/// counters, and every client's final weights must match.
+void expect_virtual_bitwise_resume(const std::string& name,
+                                   std::size_t threads = 1,
+                                   std::size_t warm = kTinyWarm,
+                                   fl::RoundMode mode = fl::RoundMode::kSync) {
   constexpr std::size_t kTotalRounds = 6;
   constexpr std::size_t kCut = 3;
-  const auto build = [&] {
-    auto fed = virtual_federation(1, kTinyWarm);
+  const auto build = [&](std::size_t lanes) {
+    auto fed = virtual_federation(lanes, warm);
     const comm::FaultPlan plan = pool_fault_plan();
     fed->channel.set_fault_plan(plan);
     fed->set_attack_plan(pool_attack_plan());
+    fed->policy.mode = mode;
+    if (mode == fl::RoundMode::kSemiSync) {
+      fed->policy.upload_deadline_ms = 30.0;
+    } else if (mode == fl::RoundMode::kAsync) {
+      fed->policy.wake_interval_ms = 20.0;
+      fed->policy.buffer_k = 2;
+      fed->policy.staleness_beta = 0.5;
+    }
     return fed;
   };
   fl::RunOptions base;
   base.rounds = kTotalRounds;
 
-  auto straight_fed = build();
+  auto straight_fed = build(1);
   auto straight = make_algorithm(name, *straight_fed);
   const fl::RunHistory want = fl::run_federation(*straight, *straight_fed, base);
 
   const ScopedPath ckpt("fedpkd_test_pool_" + name + ".ckpt");
-  auto first_fed = build();
+  auto first_fed = build(threads);
   auto first = make_algorithm(name, *first_fed);
   fl::RunOptions until_cut = base;
   until_cut.rounds = kCut;
@@ -436,7 +458,7 @@ void expect_virtual_bitwise_resume(const std::string& name) {
   fl::run_federation(*first, *first_fed, until_cut);
   ASSERT_TRUE(std::filesystem::exists(ckpt.path)) << name;
 
-  auto resumed_fed = build();
+  auto resumed_fed = build(threads);
   auto resumed = make_algorithm(name, *resumed_fed);
   const fl::FederationResume state =
       fl::load_federation_checkpoint(ckpt.path, *resumed, *resumed_fed);
@@ -444,6 +466,7 @@ void expect_virtual_bitwise_resume(const std::string& name) {
   fl::RunOptions rest = base;
   rest.start_round = state.next_round;
   const fl::RunHistory tail = fl::run_federation(*resumed, *resumed_fed, rest);
+  exec::set_num_threads(1);
 
   std::vector<fl::RoundMetrics> got = state.history.rounds;
   got.insert(got.end(), tail.rounds.begin(), tail.rounds.end());
@@ -451,6 +474,21 @@ void expect_virtual_bitwise_resume(const std::string& name) {
   stitched.rounds = got;
   expect_same_history(want, stitched, name + " virtual resume",
                       /*compare_pool=*/false);
+
+  // Pool counters are not serialized, so they exist only from the first
+  // resumed round on; there they must equal the uninterrupted run's.
+  ASSERT_EQ(tail.rounds.size(), kTotalRounds - kCut) << name;
+  for (std::size_t t = kCut; t < kTotalRounds; ++t) {
+    const std::string where = name + " resumed round " + std::to_string(t);
+    const auto& x = want.rounds[t].pool_stats;
+    const auto& y = tail.rounds[t - kCut].pool_stats;
+    ASSERT_TRUE(x.has_value() && y.has_value()) << where;
+    EXPECT_EQ(x->hits, y->hits) << where;
+    EXPECT_EQ(x->misses, y->misses) << where;
+    EXPECT_EQ(x->hydrations, y->hydrations) << where;
+    EXPECT_EQ(x->evictions, y->evictions) << where;
+    EXPECT_EQ(x->warm_clients, y->warm_clients) << where;
+  }
 
   // Every touched client's model must match, including ones that only exist
   // as dehydration blobs right now (acquire rehydrates them for comparison).
@@ -469,6 +507,42 @@ TEST(PoolCheckpoint, FedAvgVirtualResumesBitwise) {
 
 TEST(PoolCheckpoint, FedPkdVirtualResumesBitwise) {
   expect_virtual_bitwise_resume("FedPKD");
+}
+
+// A cohort of 4 over a warm capacity of 2: pins legally keep the warm set
+// above the capacity, and the checkpoint records all of it.
+constexpr std::size_t kBelowCohortWarm = 2;
+
+TEST(PoolCheckpoint, OverCapacityWarmSetResumesBitwise) {
+  expect_virtual_bitwise_resume("FedAvg", 1, kBelowCohortWarm);
+}
+
+TEST(PoolCheckpoint, OverCapacityWarmSetResumesBitwiseInEveryModeAtFourLanes) {
+  for (fl::RoundMode mode : {fl::RoundMode::kSync, fl::RoundMode::kSemiSync,
+                             fl::RoundMode::kAsync}) {
+    SCOPED_TRACE(fl::to_string(mode));
+    expect_virtual_bitwise_resume("FedAvg", 4, kBelowCohortWarm, mode);
+  }
+}
+
+TEST(PoolCheckpoint, OverCapacityStateReencodesByteIdentical) {
+  auto fed = virtual_federation(1, kBelowCohortWarm);
+  auto algo = make_algorithm("FedAvg", *fed);
+  fl::RunOptions options;
+  options.rounds = 2;
+  fl::run_federation(*algo, *fed, options);
+  ASSERT_GT(fed->pool.warm_count(), kBelowCohortWarm);
+
+  std::vector<std::byte> saved;
+  fed->pool.save_state(saved);
+  auto restored = virtual_federation(1, kBelowCohortWarm);
+  std::size_t offset = 0;
+  restored->pool.load_state(saved, offset);
+  EXPECT_EQ(offset, saved.size());
+  EXPECT_EQ(restored->pool.warm_ids_lru(), fed->pool.warm_ids_lru());
+  std::vector<std::byte> resaved;
+  restored->pool.save_state(resaved);
+  EXPECT_EQ(resaved, saved);
 }
 
 TEST(PoolCheckpoint, RejectsModeAndPopulationMismatch) {
@@ -646,6 +720,114 @@ TEST(PoolMetrics, ResidentModeReportsNoPoolCounters) {
   EXPECT_FALSE(history.rounds[0].pool_stats.has_value());
 }
 
+// ------------------------------------------------ hydration equivalence ------
+
+std::uint64_t fnv1a(const std::vector<std::byte>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Pool state after one step of the seeded hydration script.
+struct HydrationStep {
+  std::vector<std::size_t> lru;
+  std::size_t hits, misses, hydrations, dehydrations, evictions;
+  std::uint64_t state_hash;  // FNV-1a of save_state
+};
+
+/// A seeded pin_cohort script on population 10 with warm capacity 3:
+/// overlapping cohorts, trained members (so blobs carry trained state), a
+/// cohort above the capacity, a pin with no cold member, duplicate ids, and
+/// an unpinned acquire through the single-id miss path.
+std::vector<HydrationStep> run_hydration_script(std::size_t threads) {
+  auto fed = virtual_federation(threads, /*warm=*/3, /*population=*/10);
+  fl::ClientPool& pool = fed->pool;
+  fl::TrainOptions opts;
+  opts.epochs = 1;
+  std::vector<HydrationStep> steps;
+  const auto record = [&] {
+    const fl::PoolStats s = pool.stats();
+    std::vector<std::byte> state;
+    pool.save_state(state);
+    steps.push_back({pool.warm_ids_lru(), s.hits, s.misses, s.hydrations,
+                     s.dehydrations, s.evictions, fnv1a(state)});
+  };
+  const auto pin = [&](std::vector<std::size_t> ids,
+                       std::vector<std::size_t> train) {
+    pool.pin_cohort(ids);
+    for (std::size_t id : train) pool.acquire(id).train_local(opts);
+    record();
+  };
+  pin({0, 1, 2}, {0, 1});           // all cold
+  pin({1, 3, 4}, {3, 4});           // overlap; evicts the trained 0
+  pin({0, 2, 5, 6, 7}, {5, 0});     // above capacity; 0 back from its blob
+  pin({0, 2, 5}, {});               // no cold member: nothing evicted
+  pin({6, 6, 8, 2}, {8});           // duplicates
+  pin({1, 3, 9}, {9});              // trained blobs rehydrate
+  (void)pool.acquire(4);            // unpinned single-id miss
+  record();
+  exec::set_num_threads(1);
+  return steps;
+}
+
+TEST(PoolHydration, GoldenScriptAtOneAndFourLanes) {
+  // Recorded with the serial one-acquire-per-id hydration loop that the
+  // evict-first / build-on-lanes / ordered-install pin replaced.
+  const std::vector<HydrationStep> want = {
+      {{2, 0, 1}, 2, 3, 3, 0, 0, 0x644fdead08f3570aull},
+      {{1, 3, 4}, 5, 5, 5, 2, 2, 0xbbb282d40cf85bcfull},
+      {{2, 6, 7, 5, 0}, 7, 10, 10, 5, 5, 0xc03d79756634e625ull},
+      {{6, 7, 0, 2, 5}, 10, 10, 10, 5, 5, 0x76e0be11ecb01525ull},
+      {{6, 2, 8}, 14, 11, 11, 8, 8, 0xa50964a561c6f86full},
+      {{1, 3, 9}, 15, 14, 14, 11, 11, 0x7378ec78f5a4205eull},
+      {{1, 3, 9, 4}, 15, 15, 15, 11, 11, 0x45cad8217af4fe45ull},
+  };
+  for (std::size_t threads : {1u, 4u}) {
+    const std::vector<HydrationStep> got = run_hydration_script(threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const std::string where =
+          "step " + std::to_string(i) + " at " + std::to_string(threads) +
+          " lanes";
+      EXPECT_EQ(got[i].lru, want[i].lru) << where;
+      EXPECT_EQ(got[i].hits, want[i].hits) << where;
+      EXPECT_EQ(got[i].misses, want[i].misses) << where;
+      EXPECT_EQ(got[i].hydrations, want[i].hydrations) << where;
+      EXPECT_EQ(got[i].dehydrations, want[i].dehydrations) << where;
+      EXPECT_EQ(got[i].evictions, want[i].evictions) << where;
+      EXPECT_EQ(got[i].state_hash, want[i].state_hash) << where;
+    }
+  }
+}
+
+TEST(PoolHydration, BadIdLeavesThePoolUntouched) {
+  auto fed = virtual_federation(1, /*warm=*/2, /*population=*/8);
+  fl::ClientPool& pool = fed->pool;
+  const std::vector<std::size_t> cohort = {0, 1, 2};  // above the capacity
+  pool.pin_cohort(cohort);
+  const std::vector<std::size_t> lru_before = pool.warm_ids_lru();
+  const fl::PoolStats stats_before = pool.stats();
+
+  const std::vector<std::size_t> bad = {3, 4, 99};
+  EXPECT_THROW(pool.pin_cohort(bad), std::out_of_range);
+  EXPECT_EQ(pool.warm_ids_lru(), lru_before);
+  const fl::PoolStats stats_after = pool.stats();
+  EXPECT_EQ(stats_after.hits, stats_before.hits);
+  EXPECT_EQ(stats_after.misses, stats_before.misses);
+  EXPECT_EQ(stats_after.hydrations, stats_before.hydrations);
+  EXPECT_EQ(stats_after.evictions, stats_before.evictions);
+  EXPECT_EQ(stats_after.hydration_seconds, stats_before.hydration_seconds);
+
+  // The old pins still hold: with {0, 1, 2} pinned the cap is 3, so two
+  // unpinned acquires evict only the first of them.
+  (void)pool.acquire(4);
+  (void)pool.acquire(5);
+  EXPECT_EQ(pool.warm_ids_lru(), (std::vector<std::size_t>{0, 1, 2, 5}));
+}
+
 // ------------------------------------------------------------ concurrency ----
 
 TEST(PoolConcurrency, ConcurrentHydrateAndEvict) {
@@ -683,6 +865,43 @@ TEST(PoolConcurrency, ConcurrentHydrateAndEvict) {
   EXPECT_GT(stats.hydrations, 28u);  // every unpinned id hydrated at least once
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.hits + stats.misses, 4u + 2u * 300u + 2u * 300u);
+}
+
+TEST(PoolConcurrency, PinOnLanesAlongsideConcurrentAcquires) {
+  // pin_cohort builds and dehydrates on 4 exec lanes while holding the pool
+  // mutex; two other threads hydrate and evict unpinned ids meanwhile.
+  auto fed = virtual_federation(4, /*warm=*/6, /*population=*/32, /*cohort=*/4);
+  fl::ClientPool& pool = fed->pool;
+  std::atomic<std::size_t> bad_ids{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&pool, &bad_ids] {
+    for (std::size_t round = 0; round < 40; ++round) {
+      std::vector<std::size_t> cohort;
+      for (std::size_t k = 0; k < 4; ++k) {
+        cohort.push_back((round * 3 + k * 5) % 16);
+      }
+      std::sort(cohort.begin(), cohort.end());
+      pool.pin_cohort(cohort);
+      for (std::size_t id : cohort) {
+        if (pool.acquire(id).id != static_cast<comm::NodeId>(id)) ++bad_ids;
+      }
+    }
+  });
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&pool, t] {
+      for (std::size_t i = 0; i < 200; ++i) {
+        (void)pool.acquire(16 + (i * 7 + t * 13) % 16);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  exec::set_num_threads(1);
+
+  EXPECT_EQ(bad_ids.load(), 0u);
+  EXPECT_LE(pool.warm_count(), 6u);
+  const fl::PoolStats stats = pool.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 40u * 8u + 2u * 200u);
 }
 
 }  // namespace
