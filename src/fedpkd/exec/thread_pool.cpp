@@ -36,7 +36,8 @@ inline void cpu_relax() {
 struct alignas(64) ThreadPool::Job {
   ChunkFn fn = nullptr;
   void* ctx = nullptr;
-  std::size_t lanes = 0;
+  std::size_t chunks = 0;  // claimable chunks: the lanes, or n when ordered
+  const std::size_t* order = nullptr;  // chunk c is index order[c], if set
   std::size_t base = 0;  // chunk length; first `rem` chunks get one extra
   std::size_t rem = 0;
   std::size_t child_budget = 1;
@@ -104,9 +105,16 @@ void ThreadPool::execute_chunks(Job& job) {
   t_lane_budget = job.child_budget;
   for (;;) {
     const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= job.lanes) break;
-    const std::size_t begin = c * job.base + std::min(c, job.rem);
-    const std::size_t end = begin + job.base + (c < job.rem ? 1 : 0);
+    if (c >= job.chunks) break;
+    std::size_t begin;
+    std::size_t end;
+    if (job.order != nullptr) {
+      begin = job.order[c];
+      end = begin + 1;
+    } else {
+      begin = c * job.base + std::min(c, job.rem);
+      end = begin + job.base + (c < job.rem ? 1 : 0);
+    }
     try {
       job.fn(job.ctx, begin, end);
     } catch (...) {
@@ -152,6 +160,29 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::run_chunks(std::size_t n, std::size_t max_lanes, ChunkFn fn,
                             void* ctx) {
+  run_job(n, max_lanes, nullptr, fn, ctx);
+}
+
+void ThreadPool::run_ordered(const std::size_t* order, std::size_t n,
+                             ChunkFn fn, void* ctx) {
+  run_job(n, 0, order, fn, ctx);
+}
+
+void ThreadPool::run_ordered_inline(const std::size_t* order, std::size_t n,
+                                    ChunkFn fn, void* ctx) {
+  std::exception_ptr error;
+  for (std::size_t c = 0; c < n; ++c) {
+    try {
+      fn(ctx, order[c], order[c] + 1);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::run_job(std::size_t n, std::size_t max_lanes,
+                         const std::size_t* order, ChunkFn fn, void* ctx) {
   if (n == 0) return;
   // Lanes this thread may occupy: the whole pool at top level, the nesting
   // budget inside a region, further capped by any ScopedThreadLimit.
@@ -160,14 +191,19 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t max_lanes, ChunkFn fn,
   std::size_t lanes = std::min(avail, n);
   if (max_lanes != 0) lanes = std::min(lanes, max_lanes);
   if (lanes <= 1) {
-    fn(ctx, 0, n);
+    if (order != nullptr) {
+      run_ordered_inline(order, n, fn, ctx);
+    } else {
+      fn(ctx, 0, n);
+    }
     return;
   }
 
   Job job;
   job.fn = fn;
   job.ctx = ctx;
-  job.lanes = lanes;
+  job.chunks = order != nullptr ? n : lanes;
+  job.order = order;
   job.base = n / lanes;
   job.rem = n % lanes;
   job.child_budget = std::max<std::size_t>(1, avail / lanes);
@@ -198,6 +234,16 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t max_lanes, ChunkFn fn,
     });
   }
   if (job.error) std::rethrow_exception(job.error);
+}
+
+std::vector<std::size_t> costliest_first(const std::vector<std::size_t>& costs) {
+  std::vector<std::size_t> order(costs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return costs[a] > costs[b];
+                   });
+  return order;
 }
 
 ScopedThreadLimit::ScopedThreadLimit(std::size_t limit)

@@ -1,5 +1,7 @@
 #include "fedpkd/fl/client.hpp"
 
+#include "fedpkd/exec/thread_pool.hpp"
+
 namespace fedpkd::fl {
 
 TrainStats Client::train_local(TrainOptions options) {
@@ -19,6 +21,20 @@ TrainStats Client::digest(const DistillSet& set, float gamma,
 
 tensor::Tensor Client::logits_on(const tensor::Tensor& inputs) {
   return compute_logits(model, inputs);
+}
+
+std::vector<std::size_t> claim_order(const std::vector<Client*>& clients,
+                                     ClientWork work) {
+  std::vector<std::size_t> costs(clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    const Client& c = *clients[i];
+    const std::size_t rows = work == ClientWork::kTrain ? c.train_data.size()
+                             : work == ClientWork::kEvaluate
+                                 ? c.test_data.size()
+                                 : 1;
+    costs[i] = c.model.parameter_count() * rows;
+  }
+  return exec::costliest_first(costs);
 }
 
 }  // namespace fedpkd::fl

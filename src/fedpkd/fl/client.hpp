@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "fedpkd/comm/meter.hpp"
 #include "fedpkd/data/dataset.hpp"
@@ -63,5 +64,18 @@ struct Client {
   /// across clients.
   tensor::Tensor logits_on(const tensor::Tensor& inputs);
 };
+
+/// The rows a client-level stage runs its model over, per client: the
+/// cost key of that stage's fan-out.
+enum class ClientWork {
+  kTrain,     // parameter_count × train rows: local_update, make_upload
+  kEvaluate,  // parameter_count × test rows: the per-round evaluation
+  kDigest,    // parameter_count: apply_download, same rows for everyone
+};
+
+/// Claim order for a client-level exec::parallel_for_each over `clients`:
+/// slots by descending cost of `work`, ties by lower slot.
+std::vector<std::size_t> claim_order(const std::vector<Client*>& clients,
+                                     ClientWork work);
 
 }  // namespace fedpkd::fl

@@ -223,25 +223,26 @@ RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
       }
     }
   }
+  // Async digest of the pulled knowledge, client-parallel, largest model
+  // first (every client digests the same rows).
   if (have_pull) {
     StageSpan span(times.apply_seconds);
-    exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (pull_rx[i]) {
-          stages.apply_download(ctx, i, *ctx.active[i], *pull_rx[i]);
-        }
-      }
-    });
+    exec::parallel_for_each(
+        claim_order(ctx.active, ClientWork::kDigest),
+        [&](std::size_t i, std::size_t) {
+          if (pull_rx[i]) {
+            stages.apply_download(ctx, i, *ctx.active[i], *pull_rx[i]);
+          }
+        });
   }
 
-  // --- local training (client-parallel, as in the sync body) ---------------
+  // --- local training (client-parallel, costliest first, as in sync) -------
   {
     StageSpan span(times.local_update_seconds);
-    exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        stages.local_update(ctx, i, *ctx.active[i]);
-      }
-    });
+    exec::parallel_for_each(claim_order(ctx.active, ClientWork::kTrain),
+                            [&](std::size_t i, std::size_t) {
+                              stages.local_update(ctx, i, *ctx.active[i]);
+                            });
   }
 
   // --- uploads become in-flight events --------------------------------------
@@ -386,15 +387,16 @@ RoundOutcome run_event_driven(RoundStages& stages, Federation& fed,
           }
         }
       }
+      // Digest, client-parallel, largest model first, as in sync.
       if (have_downlink) {
         StageSpan span(times.apply_seconds);
-        exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            if (downlink[i]) {
-              stages.apply_download(ctx, i, *ctx.active[i], *downlink[i]);
-            }
-          }
-        });
+        exec::parallel_for_each(
+            claim_order(ctx.active, ClientWork::kDigest),
+            [&](std::size_t i, std::size_t) {
+              if (downlink[i]) {
+                stages.apply_download(ctx, i, *ctx.active[i], *downlink[i]);
+              }
+            });
       }
     }
   } else {

@@ -40,10 +40,11 @@ inline SealedBundle seal_bundle(PayloadBundle bundle) {
 }
 
 /// The upload stage up to the wire, shared by both engines: before_upload,
-/// make_upload per slot on the lanes, the adversarial injection serially in
-/// slot order on the typed bundles, the restore of `flipped` clients'
-/// labels, then encode + seal per slot on the lanes — so poisoned payloads
-/// are what gets sealed. Slot i of the result is client ctx.active[i]'s.
+/// make_upload per slot on the lanes (costliest client first), the
+/// adversarial injection serially in slot order on the typed bundles, the
+/// restore of `flipped` clients' labels, then encode + seal per slot on the
+/// lanes — so poisoned payloads are what gets sealed. Slot i of the result
+/// is client ctx.active[i]'s.
 std::vector<SealedBundle> seal_uploads(RoundStages& stages, RoundContext& ctx,
                                        const std::vector<Client*>& flipped,
                                        RoundFaultStats& faults);

@@ -357,22 +357,22 @@ RoundMetrics evaluate_round(Algorithm& algorithm, Federation& fed,
     metrics.server_accuracy =
         evaluate_accuracy(*server, fed.test_global, eval_batch);
   }
-  // Clients evaluate concurrently (each touches only its own model); the
-  // mean reduces serially in client-index order so it is thread-count
-  // independent. Pointers are resolved serially first: in a virtual
-  // federation that hydrates any cold client in deterministic id order
-  // before the parallel fan-out touches anything.
+  // Clients evaluate concurrently, costliest first (each touches only its
+  // own model); the mean reduces serially in client-index order so it is
+  // thread-count independent. Pointers are resolved serially first: in a
+  // virtual federation that hydrates any cold client in deterministic id
+  // order before the parallel fan-out touches anything.
   const std::vector<std::size_t> ids = fed.eval_client_ids();
   std::vector<Client*> eval_clients;
   eval_clients.reserve(ids.size());
   for (std::size_t id : ids) eval_clients.push_back(&fed.client(id));
   metrics.client_accuracy.assign(ids.size(), 0.0f);
-  exec::parallel_for(ids.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      metrics.client_accuracy[i] = evaluate_accuracy(
-          eval_clients[i]->model, eval_clients[i]->test_data, eval_batch);
-    }
-  });
+  exec::parallel_for_each(
+      claim_order(eval_clients, ClientWork::kEvaluate),
+      [&](std::size_t i, std::size_t) {
+        metrics.client_accuracy[i] = evaluate_accuracy(
+            eval_clients[i]->model, eval_clients[i]->test_data, eval_batch);
+      });
   double acc_sum = 0.0;
   for (const float acc : metrics.client_accuracy) acc_sum += acc;
   metrics.mean_client_accuracy =

@@ -35,11 +35,11 @@ std::vector<SealedBundle> seal_uploads(RoundStages& stages, RoundContext& ctx,
   const std::size_t n = ctx.num_active();
   stages.before_upload(ctx);
   std::vector<PayloadBundle> bundles(n);
-  exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      bundles[i] = stages.make_upload(ctx, i, *ctx.active[i]);
-    }
-  });
+  exec::parallel_for_each(claim_order(ctx.active, ClientWork::kTrain),
+                          [&](std::size_t i, std::size_t) {
+                            bundles[i] = stages.make_upload(ctx, i,
+                                                            *ctx.active[i]);
+                          });
   // Adversarial injection, serial in slot order (robust::Payload is the
   // same variant type as StagePayload, so the injector mutates the typed
   // bundles in place before they are ever encoded for the wire).
@@ -328,26 +328,27 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
     }
   }
 
-  // Stage 1: local update, client-parallel. Each slot touches only its own
-  // client (model + RNG stream), so chunking is bitwise-invisible.
+  // Stage 1: local update, client-parallel, costliest client first. Each
+  // slot touches only its own client (model + RNG stream), so which lane
+  // runs it, and when, is bitwise-invisible.
   {
     StageSpan span(times.local_update_seconds);
-    exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        stages.local_update(ctx, i, *ctx.active[i]);
-      }
-    });
+    exec::parallel_for_each(claim_order(ctx.active, ClientWork::kTrain),
+                            [&](std::size_t i, std::size_t) {
+                              stages.local_update(ctx, i, *ctx.active[i]);
+                            });
   }
   // Crash points sit on the serial control path between stages: a process
   // death here loses the whole round's in-memory work, which resume must
   // re-derive bitwise from the last checkpoint.
   durable::crash_point("round:after_train");
 
-  // Stage 2: upload. Payload construction fans out per client; the sends run
-  // serially in slot order. A client whose bundle is lost (any part) simply
-  // does not contribute this round; one slower than the deadline is excluded
-  // as a straggler (its bytes stay charged — the frames did cross the wire,
-  // the server just stopped waiting); one failing validation is rejected.
+  // Stage 2: upload. Payload construction fans out per client, costliest
+  // first (detail::seal_uploads); the sends run serially in slot order. A
+  // client whose bundle is lost (any part) simply does not contribute this
+  // round; one slower than the deadline is excluded as a straggler (its
+  // bytes stay charged — the frames did cross the wire, the server just
+  // stopped waiting); one failing validation is rejected.
   faults.clients_crashed += injector.advance(round, comm::RoundStage::kUpload);
   std::vector<Contribution> contributions;
   {
@@ -479,17 +480,18 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
     }
   }
 
-  // Stage 5: apply/digest, client-parallel. Clients whose downlink was lost
-  // keep their stale state (same rule as a missed broadcast).
+  // Stage 5: apply/digest, client-parallel, largest model first. Clients
+  // whose downlink was lost keep their stale state (same rule as a missed
+  // broadcast).
   if (have_downlink) {
     StageSpan span(times.apply_seconds);
-    exec::parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (downlink[i]) {
-          stages.apply_download(ctx, i, *ctx.active[i], *downlink[i]);
-        }
-      }
-    });
+    exec::parallel_for_each(
+        claim_order(ctx.active, ClientWork::kDigest),
+        [&](std::size_t i, std::size_t) {
+          if (downlink[i]) {
+            stages.apply_download(ctx, i, *ctx.active[i], *downlink[i]);
+          }
+        });
   }
   durable::crash_point("round:after_download");
   finish_clock();

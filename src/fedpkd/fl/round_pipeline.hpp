@@ -122,9 +122,13 @@ struct Contribution {
 };
 
 /// Per-stage hooks an algorithm supplies to the pipeline. Hooks marked
-/// "concurrent" run inside exec::parallel_for and must touch only state owned
-/// by their slot (the client's model/RNG plus read-only shared state);
-/// everything else runs serially in client-index order.
+/// "concurrent" run inside exec::parallel_for_each, one slot per claim, in
+/// cost order rather than slot order: costliest client first, ties by slot
+/// (fl::claim_order). At one lane that is the call order; above one lane any
+/// slot may run on any lane at any time within its stage. So a concurrent
+/// hook must touch only state owned by its slot (the client's model/RNG plus
+/// read-only shared state) and may not assume a lower slot ran first.
+/// Everything else runs serially in client-index order.
 class RoundStages {
  public:
   virtual ~RoundStages() = default;

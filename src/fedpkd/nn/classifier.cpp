@@ -13,6 +13,7 @@ Classifier::Classifier(std::string arch_name, std::unique_ptr<Module> body,
   if (!body_ || !head_) {
     throw std::invalid_argument("Classifier: null body or head");
   }
+  for (const Parameter* p : parameters()) parameter_count_ += p->numel();
 }
 
 void Classifier::check_input(const Tensor& x, const char* who) const {
@@ -134,16 +135,6 @@ std::vector<Parameter*> Classifier::parameters() {
 
 void Classifier::zero_grad() {
   for (Parameter* p : parameters()) p->grad.zero();
-}
-
-std::size_t Classifier::parameter_count() {
-  std::size_t n = 0;
-  for (Parameter* p : parameters()) n += p->numel();
-  return n;
-}
-
-std::size_t Classifier::parameter_bytes() {
-  return 4 * parameter_count();
 }
 
 Tensor Classifier::flat_weights() {

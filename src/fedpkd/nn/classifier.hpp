@@ -81,9 +81,11 @@ class Classifier {
 
   std::vector<Parameter*> parameters();
   void zero_grad();
-  std::size_t parameter_count();
+  /// Trainable scalars, counted once at construction (the round engines read
+  /// it per client, per stage, as a claim-order cost key).
+  std::size_t parameter_count() const { return parameter_count_; }
   /// Parameter footprint in bytes when shipped as float32 (comm accounting).
-  std::size_t parameter_bytes();
+  std::size_t parameter_bytes() const { return 4 * parameter_count_; }
 
   Tensor flat_weights();
   void set_flat_weights(const Tensor& flat);
@@ -113,6 +115,7 @@ class Classifier {
   std::unique_ptr<Module> body_;
   std::unique_ptr<Linear> head_;
   std::size_t input_dim_;
+  std::size_t parameter_count_ = 0;
   Tensor grad_features_;  // [m, feature_dim] head gradient + extra
   bool forward_through_head_ = false;
 };

@@ -18,10 +18,15 @@ TrainStep::TrainStep(Classifier& model, Optimizer& optimizer)
         "TrainStep: optimizer does not hold the model's parameters");
   }
   offsets_.reserve(jobs_.size());
+  std::vector<std::size_t> sizes;
+  sizes.reserve(jobs_.size());
   for (const GradJob& job : jobs_) {
     offsets_.push_back(weights_);
     weights_ += job.param->numel();
+    sizes.push_back(job.param->numel());
   }
+  // A parameter's gradient job and update cost about one pass over it.
+  param_order_ = exec::costliest_first(sizes);
   // A row's forward (or backward) costs about one multiply-add per weight.
   row_grain_ = exec::grain_for_cost(weights_);
 }
@@ -60,16 +65,14 @@ void TrainStep::backward_and_update(const StepLoss& loss) {
                                             loss.grad_features, r0, r1);
                      });
   optimizer_.begin_step();
-  exec::parallel_for(jobs_.size(), [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      Parameter& p = *jobs_[i].param;
-      p.grad.zero();
-      jobs_[i].owner->accumulate_grad(p);
-      if (reference_ != nullptr) {
-        add_proximal_gradient(p, reference_->data() + offsets_[i], mu_);
-      }
-      optimizer_.update(i);
+  exec::parallel_for_each(param_order_, [&](std::size_t i, std::size_t) {
+    Parameter& p = *jobs_[i].param;
+    p.grad.zero();
+    jobs_[i].owner->accumulate_grad(p);
+    if (reference_ != nullptr) {
+      add_proximal_gradient(p, reference_->data() + offsets_[i], mu_);
     }
+    optimizer_.update(i);
   });
 }
 

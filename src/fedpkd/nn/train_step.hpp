@@ -23,12 +23,13 @@ struct StepLoss {
 ///      forward;
 ///   2. the caller's loss on the full-batch logits and features (serial);
 ///   3. parallel_for over the rows: backward;
-///   4. parallel_for over the parameters: zero the gradient, run its
-///      gradient job, add the FedProx term, optimizer update.
+///   4. parallel_for_each over the parameters, largest first: zero the
+///      gradient, run its gradient job, add the FedProx term, optimizer
+///      update.
 ///
 /// The split follows parallel_for — pool size, the caller's nesting budget,
 /// any ScopedThreadLimit — so a client training inside a client-parallel
-/// round (budget 1) runs every phase inline as one range. Every output is
+/// round (budget 1) runs every phase inline. Every output is
 /// bitwise identical for every split (DESIGN.md §8). The model's step
 /// buffers live as long as the TrainStep: its destructor releases them.
 class TrainStep {
@@ -62,6 +63,7 @@ class TrainStep {
   Optimizer& optimizer_;
   std::vector<GradJob> jobs_;         // parameters() order
   std::vector<std::size_t> offsets_;  // flat weight offset of each parameter
+  std::vector<std::size_t> param_order_;  // parameters by descending numel
   std::size_t weights_ = 0;           // total trainable scalars
   const Tensor* reference_ = nullptr;
   float mu_ = 0.0f;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -165,6 +167,150 @@ TEST(ThreadPool, ScopedThreadLimitForcesInline) {
     EXPECT_EQ(calls, 1);
   }
   exec::set_num_threads(1);
+}
+
+// ------------------------------------------------------ parallel_for_each ---
+
+/// A fixed, non-monotone permutation of [0, n): the reverse of the index
+/// order with every third index moved to the front.
+std::vector<std::size_t> scrambled_order(std::size_t n) {
+  std::vector<std::size_t> order;
+  for (std::size_t i = n; i-- > 0;) {
+    if (i % 3 == 0) order.push_back(i);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    if (i % 3 != 0) order.push_back(i);
+  }
+  return order;
+}
+
+/// Runs parallel_for_each over scrambled_order(n) on the global pool and
+/// returns the order the body saw the indices in (as observed under a lock).
+std::vector<std::size_t> visited_order(std::size_t n) {
+  std::vector<std::size_t> seen;
+  std::mutex mutex;
+  exec::parallel_for_each(scrambled_order(n),
+                          [&](std::size_t begin, std::size_t end) {
+                            EXPECT_EQ(end, begin + 1);
+                            std::lock_guard<std::mutex> lock(mutex);
+                            seen.push_back(begin);
+                          });
+  return seen;
+}
+
+/// The global pool at `lanes` lanes, hardware clamp lifted, for one scope.
+class GlobalLanes {
+ public:
+  explicit GlobalLanes(std::size_t lanes) {
+    setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);
+    exec::set_num_threads(lanes);
+  }
+  ~GlobalLanes() {
+    exec::set_num_threads(1);
+    unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
+  }
+  GlobalLanes(const GlobalLanes&) = delete;
+  GlobalLanes& operator=(const GlobalLanes&) = delete;
+};
+
+TEST(ThreadPool, ForEachRunsEveryIndexOnceAtEveryLaneCount) {
+  for (const std::size_t lanes : {1, 2, 3, 4, 8}) {
+    GlobalLanes pool(lanes);
+    ASSERT_EQ(exec::num_threads(), lanes);
+    for (const std::size_t n : {1, 2, 7, 64, 257}) {
+      std::vector<int> hits(n, 0);  // one writer per index: plain ints
+      exec::parallel_for_each(scrambled_order(n),
+                              [&](std::size_t i, std::size_t) { ++hits[i]; });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i], 1) << lanes << " lanes, n " << n << ", index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ForEachAtOneLaneRunsInlineInOrder) {
+  EXPECT_EQ(visited_order(50), scrambled_order(50));
+  GlobalLanes pool(4);
+  exec::ScopedThreadLimit limit(1);
+  EXPECT_EQ(visited_order(50), scrambled_order(50));
+}
+
+TEST(ThreadPool, ForEachClaimsIndicesInOrder) {
+  // Lanes claim from one cursor in `order`. When the index at position p
+  // draws its ticket, every earlier position was claimed, and at most one
+  // claim per other lane is still waiting to draw, so the ticket is at least
+  // p - 3. (A preempted lane can fall arbitrarily far behind, so there is
+  // no upper bound.) A contiguous split would start the last quarter of
+  // `order` with one of the first tickets and break the bound.
+  GlobalLanes pool(4);
+  constexpr std::size_t kN = 200;
+  const std::vector<std::size_t> order = scrambled_order(kN);
+  std::vector<std::size_t> position(kN);
+  for (std::size_t c = 0; c < kN; ++c) position[order[c]] = c;
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    std::atomic<std::size_t> next_ticket{0};
+    std::vector<std::size_t> ticket(kN, 0);
+    exec::parallel_for_each(order, [&](std::size_t i, std::size_t) {
+      ticket[i] = next_ticket.fetch_add(1);
+    });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_GE(ticket[i] + 3, position[i]) << "index " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ForEachRethrowsAfterEveryOtherIndexRan) {
+  for (const std::size_t lanes : {1, 4}) {
+    GlobalLanes pool(lanes);
+    std::vector<int> hits(40, 0);
+    EXPECT_THROW(exec::parallel_for_each(
+                     scrambled_order(40),
+                     [&](std::size_t i, std::size_t) {
+                       ++hits[i];
+                       if (i == 9 || i == 30) {
+                         throw std::runtime_error("index failed");
+                       }
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(hits, std::vector<int>(40, 1)) << lanes << " lanes";
+  }
+}
+
+TEST(ThreadPool, ForEachGrantsTheNestedBudget) {
+  // floor(avail / lanes), as for parallel_for: 4 lanes over 2 indices leave
+  // 2 for each body, over 3 indices 1.
+  GlobalLanes pool(4);
+  for (const std::size_t n : {2, 3, 8}) {
+    const std::size_t lanes = std::min<std::size_t>(4, n);
+    std::vector<std::size_t> budget(n, 0);
+    exec::parallel_for_each(scrambled_order(n), [&](std::size_t i,
+                                                    std::size_t) {
+      EXPECT_TRUE(exec::ThreadPool::in_parallel_region());
+      budget[i] = exec::ThreadPool::lane_budget();
+      std::vector<int> inner(64, 0);
+      exec::parallel_for(64, [&](std::size_t b, std::size_t e) {
+        for (std::size_t k = b; k < e; ++k) ++inner[k];
+      });
+      EXPECT_EQ(inner, std::vector<int>(64, 1));
+    });
+    EXPECT_EQ(budget, std::vector<std::size_t>(n, 4 / lanes)) << "n " << n;
+  }
+}
+
+TEST(ThreadPool, ForEachOverAnEmptyOrderIsANoOp) {
+  GlobalLanes pool(4);
+  int calls = 0;
+  exec::parallel_for_each({}, [&](std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ThreadPool, CostliestFirstBreaksTiesByIndex) {
+  using Order = std::vector<std::size_t>;
+  EXPECT_EQ(exec::costliest_first({}), Order{});
+  EXPECT_EQ(exec::costliest_first({5}), Order{0});
+  EXPECT_EQ(exec::costliest_first({1, 9, 4, 9, 1, 4}),
+            (Order{1, 3, 2, 5, 0, 4}));
+  EXPECT_EQ(exec::costliest_first({7, 7, 7}), (Order{0, 1, 2}));
 }
 
 // --------------------------------------------------- Serial ≡ parallel ------

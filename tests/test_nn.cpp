@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 #include "fedpkd/nn/activation.hpp"
@@ -906,6 +908,79 @@ TEST(RowSplit, ScopedThreadLimitOneKeepsTheStepInline) {
   unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
   const RowRanges expected{{0, 32}};
   EXPECT_EQ(ranges, expected);
+}
+
+/// Adam that logs the order its per-parameter updates ran in.
+class UpdateOrderProbe final : public Optimizer {
+ public:
+  explicit UpdateOrderProbe(std::vector<Parameter*> params)
+      : Optimizer(params), adam_(params) {}
+  void begin_step() override { adam_.begin_step(); }
+  void update(std::size_t i) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      seen.push_back(i);
+    }
+    adam_.update(i);
+  }
+  void set_lr(float lr) override { adam_.set_lr(lr); }
+
+  std::vector<std::size_t> seen;
+
+ private:
+  Adam adam_;
+  std::mutex mutex_;
+};
+
+TEST(RowSplit, ParameterPhaseRunsLargestFirstAndStaysBitwise) {
+  Rng rng(57);
+  const Classifier init = make_classifier("resmlp56", 24, 10, rng);
+  const Tensor x = Tensor::randn({16, 24}, rng);
+  std::vector<int> y(16);
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 10);
+  // One step at `lanes`: the final weights and the update order.
+  const auto step_at = [&](std::size_t lanes) {
+    exec::set_num_threads(lanes);
+    Classifier model = init.clone();
+    UpdateOrderProbe probe(model.parameters());
+    {
+      TrainStep step(model, probe);
+      step.run(x, [&](const Tensor& logits, const Tensor&) {
+        LossResult ce = softmax_cross_entropy(logits, y);
+        return StepLoss{ce.value, std::move(ce.grad)};
+      });
+    }
+    exec::set_num_threads(1);
+    return std::make_pair(model.flat_weights(), probe.seen);
+  };
+
+  Classifier model = init.clone();
+  const std::vector<Parameter*> params = model.parameters();
+  std::vector<std::size_t> largest_first(params.size());
+  std::iota(largest_first.begin(), largest_first.end(), std::size_t{0});
+  std::stable_sort(largest_first.begin(), largest_first.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return params[a]->numel() > params[b]->numel();
+                   });
+  const auto [serial_weights, serial_order] = step_at(1);
+  EXPECT_EQ(serial_order, largest_first);
+  EXPECT_GT(params[serial_order.front()]->numel(),
+            params[serial_order.back()]->numel());
+
+  setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);
+  for (std::size_t lanes = 2; lanes <= 4; ++lanes) {
+    auto [weights, order] = step_at(lanes);
+    ASSERT_EQ(weights.numel(), serial_weights.numel());
+    EXPECT_EQ(std::memcmp(weights.data(), serial_weights.data(),
+                          weights.numel() * sizeof(float)),
+              0)
+        << lanes << " lanes";
+    std::sort(order.begin(), order.end());
+    std::vector<std::size_t> each_once = largest_first;
+    std::sort(each_once.begin(), each_once.end());
+    EXPECT_EQ(order, each_once) << lanes << " lanes";
+  }
+  unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
 }
 
 TEST(RowSplit, TrainStepRejectsAForeignOptimizer) {

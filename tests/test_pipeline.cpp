@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -318,6 +321,123 @@ TEST(RoundPipeline, StagesRunInOrderAndCoverEveryClient) {
   // Each transfer really crossed the channel: 3 broadcasts + 3 uploads +
   // 3 downloads of the 1-float payload.
   EXPECT_EQ(fed->meter.records().size(), 9u);
+}
+
+/// Records the order the concurrent client hooks ran in, next to the
+/// documented claim order of the round's cohort: slots by descending
+/// parameter_count × train rows for local_update and make_upload, by
+/// descending parameter_count for apply_download, ties by slot.
+struct ScheduleProbe : fl::RoundStages {
+  std::vector<std::size_t> train_key_order;
+  std::vector<std::size_t> model_key_order;
+  std::vector<std::size_t> local_seen, upload_seen, apply_seen;
+  std::mutex mutex;  // the hooks run concurrently above one lane
+
+  static std::vector<std::size_t> by_descending_key(
+      const std::vector<std::size_t>& key) {
+    std::vector<std::size_t> slots(key.size());
+    std::iota(slots.begin(), slots.end(), std::size_t{0});
+    std::stable_sort(slots.begin(), slots.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return key[a] > key[b];
+                     });
+    return slots;
+  }
+
+  void record(std::vector<std::size_t>& seen, std::size_t i) {
+    std::lock_guard<std::mutex> lock(mutex);
+    seen.push_back(i);
+  }
+
+  void on_round_start(fl::RoundContext& ctx) override {
+    std::vector<std::size_t> train_key, model_key;
+    for (const fl::Client* client : ctx.active) {
+      model_key.push_back(client->model.parameter_count());
+      train_key.push_back(model_key.back() * client->train_data.size());
+    }
+    train_key_order = by_descending_key(train_key);
+    model_key_order = by_descending_key(model_key);
+    local_seen.clear();
+    upload_seen.clear();
+    apply_seen.clear();
+  }
+  void local_update(fl::RoundContext&, std::size_t i, fl::Client&) override {
+    record(local_seen, i);
+  }
+  fl::PayloadBundle make_upload(fl::RoundContext&, std::size_t i,
+                                fl::Client&) override {
+    record(upload_seen, i);
+    return fl::PayloadBundle(comm::WeightsPayload{Tensor::zeros({1})});
+  }
+  void server_step(fl::RoundContext&,
+                   std::vector<fl::Contribution>&) override {}
+  std::optional<fl::PayloadBundle> make_download(fl::RoundContext&) override {
+    return fl::PayloadBundle(comm::WeightsPayload{Tensor::zeros({1})});
+  }
+  void apply_download(fl::RoundContext&, std::size_t i, fl::Client&,
+                      const fl::WireBundle&) override {
+    record(apply_seen, i);
+  }
+};
+
+const fl::RoundMode kAllModes[] = {fl::RoundMode::kSync,
+                                   fl::RoundMode::kSemiSync,
+                                   fl::RoundMode::kAsync};
+
+/// Runs the probe on 7 clients cycling resmlp11/20/29 over Dirichlet(0.3)
+/// shards at `lanes`. Async digests the download on the next wake, so it
+/// runs two rounds and the probe holds the second.
+void run_schedule_probe(ScheduleProbe& probe, fl::RoundMode mode,
+                        std::size_t lanes) {
+  data::SyntheticVision task(data::SyntheticVisionConfig::synth10(41));
+  const auto bundle = task.make_bundle(480, 90, 60);
+  fl::FederationConfig config;
+  config.num_clients = 7;
+  config.client_archs = {"resmlp11", "resmlp20", "resmlp29"};
+  config.local_test_per_client = 20;
+  config.seed = 42;
+  config.num_threads = lanes;
+  auto fed =
+      fl::build_federation(bundle, fl::PartitionSpec::dirichlet(0.3), config);
+  fed->policy.mode = mode;
+  fed->policy.upload_deadline_ms = 1000.0;  // semisync's tick; none is late
+  fl::RoundPipeline pipeline;
+  const std::size_t rounds = mode == fl::RoundMode::kAsync ? 2 : 1;
+  for (std::size_t t = 0; t < rounds; ++t) pipeline.run(probe, *fed, t);
+  exec::set_num_threads(1);
+}
+
+TEST(ClientScheduling, OneLaneRunsClientHooksCostliestFirstInEveryEngine) {
+  std::vector<std::size_t> slot_order(7);
+  std::iota(slot_order.begin(), slot_order.end(), std::size_t{0});
+  for (const fl::RoundMode mode : kAllModes) {
+    SCOPED_TRACE(fl::to_string(mode));
+    ScheduleProbe probe;
+    run_schedule_probe(probe, mode, 1);
+    // The cohort is mixed, so both keys reorder the slots.
+    EXPECT_NE(probe.train_key_order, slot_order);
+    EXPECT_NE(probe.model_key_order, slot_order);
+    EXPECT_EQ(probe.local_seen, probe.train_key_order);
+    EXPECT_EQ(probe.upload_seen, probe.train_key_order);
+    EXPECT_EQ(probe.apply_seen, probe.model_key_order);
+  }
+}
+
+TEST(ClientScheduling, FourLanesRunEveryClientHookOnceInEveryEngine) {
+  setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);
+  std::vector<std::size_t> slot_order(7);
+  std::iota(slot_order.begin(), slot_order.end(), std::size_t{0});
+  for (const fl::RoundMode mode : kAllModes) {
+    SCOPED_TRACE(fl::to_string(mode));
+    ScheduleProbe probe;
+    run_schedule_probe(probe, mode, 4);
+    for (auto* seen : {&probe.local_seen, &probe.upload_seen,
+                       &probe.apply_seen}) {
+      std::sort(seen->begin(), seen->end());
+      EXPECT_EQ(*seen, slot_order);
+    }
+  }
+  unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
 }
 
 TEST(RoundPipeline, FullyDroppedRoundSkipsServerAndDownload) {
