@@ -37,6 +37,7 @@ int main() {
     config.num_clients = scale.clients;
     config.client_archs = {"resmlp29"};
     config.seed = 7;
+    config.num_threads = 0;
     auto fed = fl::build_federation(bundle, spec, config);
     fl::FedAvg algo(*fed, {.local_epochs = scale.epochs(10),
                            .proximal_mu = {}});
@@ -74,6 +75,7 @@ int main() {
       }
     }
     config.seed = 7;
+    config.num_threads = 0;
     auto fed = fl::build_federation(bundle, spec, config);
     auto options = bench::fedpkd_options(scale, "resmlp56");
     core::FedPkd algo(*fed, options);

@@ -76,7 +76,8 @@ inline data::FederatedDataBundle make_bundle(const std::string& dataset,
 }
 
 /// Federation with homogeneous resmlp20 clients (the paper's homogeneous
-/// setting) or the heterogeneous 11/20/29 mix.
+/// setting) or the heterogeneous 11/20/29 mix, on one lane per hardware
+/// thread (results are bitwise identical at any lane count).
 inline std::unique_ptr<fl::Federation> make_federation(
     const data::FederatedDataBundle& bundle, const fl::PartitionSpec& spec,
     const Scale& scale, bool heterogeneous = false, std::uint64_t seed = 7) {
@@ -88,6 +89,7 @@ inline std::unique_ptr<fl::Federation> make_federation(
           : std::vector<std::string>{"resmlp20"};
   config.local_test_per_client = 150;
   config.seed = seed;
+  config.num_threads = 0;
   return fl::build_federation(bundle, spec, config);
 }
 

@@ -24,6 +24,7 @@ int main() {
   config.client_archs = {"resmlp20"};
   config.local_test_per_client = 100;
   config.seed = 7;
+  config.num_threads = 0;
   auto fed = fl::build_federation(bundle, fl::PartitionSpec::class_split(),
                                   config);
 

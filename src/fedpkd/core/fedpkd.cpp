@@ -87,41 +87,13 @@ void FedPkd::local_update(fl::RoundContext&, std::size_t, fl::Client& client) {
 // FedDF/DS-FL exchange "logits" and is ablated in abl_aggregation). The
 // two-part bundle is all-or-nothing on the pipeline: a client whose upload
 // partially failed is skipped this round, exactly like a straggler drop-out.
-void FedPkd::before_upload(fl::RoundContext& ctx) {
-  // Serial cohort pass: one wide GEMM covers every matching-architecture
-  // stem instead of |cohort| separate public-set forwards. make_upload then
-  // reads its precomputed slot, which keeps the concurrent stage read-only.
-  // The cohort snapshot is the cache's validity tag: slot tensors persist
-  // across rounds for buffer reuse, so emptiness cannot signal staleness.
-  cohort_.compute_public_logits(ctx.active, ctx.fed.public_data.features,
-                                public_logits_);
-  upload_cohort_.clear();
-  upload_cohort_.reserve(ctx.active.size());
-  for (const fl::Client* client : ctx.active) {
-    upload_cohort_.push_back(static_cast<std::uint32_t>(client->id));
-  }
-}
-
-fl::PayloadBundle FedPkd::make_upload(fl::RoundContext& ctx, std::size_t i,
+fl::PayloadBundle FedPkd::make_upload(fl::RoundContext& ctx, std::size_t,
                                       fl::Client& client) {
-  // Slot logits come from before_upload's batched pass, honored only while
-  // this (slot, client) pair matches the cohort that pass ran for; the
-  // fallback covers direct make_upload calls outside the pipeline (tests,
-  // tooling), a changed active set, and post-round calls after server_step
-  // invalidated the cache.
-  tensor::Tensor fallback;
-  const tensor::Tensor* logits = nullptr;
-  if (i < upload_cohort_.size() &&
-      upload_cohort_[i] == static_cast<std::uint32_t>(client.id) &&
-      i < public_logits_.size() && !public_logits_[i].empty()) {
-    logits = &public_logits_[i];
-  } else {
-    fallback = client.logits_on(ctx.fed.public_data.features);
-    logits = &fallback;
-  }
   fl::PayloadBundle bundle;
   bundle.parts.push_back(comm::LogitsPayload{
-      all_ids_, tensor::softmax_rows(*logits, options_.temperature)});
+      all_ids_,
+      tensor::softmax_rows(client.logits_on(ctx.fed.public_data.features),
+                           options_.temperature)});
   bundle.parts.push_back(
       to_payload(compute_local_prototypes(client.model, client.train_data)));
   return bundle;
@@ -129,11 +101,6 @@ fl::PayloadBundle FedPkd::make_upload(fl::RoundContext& ctx, std::size_t i,
 
 void FedPkd::server_step(fl::RoundContext& ctx,
                          std::vector<fl::Contribution>& contributions) {
-  // The uploads are consumed; the downlink digest and next round's local
-  // training will change client weights, so drop the cache's validity tag
-  // (slot buffers stay for reuse) and let any later make_upload call
-  // recompute fresh logits.
-  upload_cohort_.clear();
   const std::size_t public_n = ctx.fed.public_data.size();
   const bool robust_rule =
       ctx.fed.robust.rule != robust::RobustAggregation::kNone;

@@ -8,7 +8,6 @@
 #include "fedpkd/core/aggregation.hpp"
 #include "fedpkd/core/distill.hpp"
 #include "fedpkd/core/filter_ext.hpp"
-#include "fedpkd/fl/cohort.hpp"
 #include "fedpkd/fl/round_pipeline.hpp"
 
 namespace fedpkd::core {
@@ -68,7 +67,6 @@ class FedPkd : public fl::StagedAlgorithm {
   void on_round_start(fl::RoundContext& ctx) override;
   void local_update(fl::RoundContext& ctx, std::size_t i,
                     fl::Client& client) override;
-  void before_upload(fl::RoundContext& ctx) override;
   fl::PayloadBundle make_upload(fl::RoundContext& ctx, std::size_t i,
                                 fl::Client& client) override;
   void server_step(fl::RoundContext& ctx,
@@ -101,20 +99,6 @@ class FedPkd : public fl::StagedAlgorithm {
   std::optional<PrototypeSet> global_prototypes_;
   float last_keep_fraction_ = 1.0f;
   std::vector<std::uint32_t> all_ids_;  // 0..public_n-1, filled on first use
-  /// Batched public-set inference: before_upload fuses matching-architecture
-  /// stems into one wide GEMM and fills public_logits_ per slot; make_upload
-  /// then only reads its own slot (concurrent-safe, read-only). The cache is
-  /// tagged with the cohort it was computed for (upload_cohort_) and
-  /// invalidated once server_step consumes the uploads, so a direct
-  /// make_upload call outside the pipeline — or one whose (slot, client)
-  /// pair does not match the batched pass — always recomputes fresh logits
-  /// instead of serving a stale round's.
-  fl::CohortStepper cohort_;
-  std::vector<tensor::Tensor> public_logits_;
-  /// Client ids the batched pass ran for, by slot. Ids, not pointers: a
-  /// virtual-client pool can reuse a heap address for a different client
-  /// after evict + rehydrate, so an address is not a stable identity.
-  std::vector<std::uint32_t> upload_cohort_;
   /// What each client actually received over the wire (Eq. 16 regularizer
   /// target), keyed by client id; stale or absent after a dropped downlink.
   /// A map, not a population-sized vector: with a virtual-client pool only

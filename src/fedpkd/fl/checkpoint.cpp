@@ -13,9 +13,8 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x464b5043u;  // 'FPKC' (single model)
 // v2 seals the file with durable's CRC32 footer so truncation and bit flips
-// are detected at load; v1 (unsealed) files still load.
+// are detected at load. Unsealed v1 files are rejected.
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kLegacyVersion = 1;
 
 constexpr std::uint32_t kRunMagic = 0x464b5052u;  // 'FPKR' (federation resume)
 // v3 adds the attack injector's replay cache, the adaptive weight-norm
@@ -70,18 +69,15 @@ nn::Classifier load_checkpoint(const std::filesystem::path& path) {
   if (bytes.size() < 8 || tensor::get_u32(bytes, offset) != kMagic) {
     throw std::runtime_error("checkpoint: bad magic in " + path.string());
   }
-  const std::uint32_t version = tensor::get_u32(bytes, offset);
-  std::size_t end = bytes.size();
-  if (version == kVersion) {
-    // Sealed format: verify the CRC32 footer before trusting a single
-    // payload byte — a truncated or bit-flipped file fails here instead of
-    // decoding into silently-wrong weights.
-    end = durable::verified_payload_size(bytes,
-                                         "checkpoint " + path.string());
-  } else if (version != kLegacyVersion) {
+  if (tensor::get_u32(bytes, offset) != kVersion) {
     throw std::runtime_error("checkpoint: unsupported version in " +
                              path.string());
   }
+  // Verify the CRC32 footer before trusting a single payload byte — a
+  // truncated or bit-flipped file fails here instead of decoding into
+  // silently-wrong weights.
+  const std::size_t end =
+      durable::verified_payload_size(bytes, "checkpoint " + path.string());
   const std::string arch = get_string(bytes, offset);
   const auto input_dim =
       static_cast<std::size_t>(tensor::get_u64(bytes, offset));
@@ -221,20 +217,10 @@ RunHistory import_history_csv(const std::filesystem::path& path,
   RunHistory history;
   history.algorithm = std::move(algorithm);
   std::string line;
-  constexpr const char* kLegacyHeader =
-      "round,server_accuracy,mean_client_accuracy,cumulative_bytes";
-  constexpr const char* kAnomalyHeader =
-      "round,server_accuracy,mean_client_accuracy,cumulative_bytes,"
-      "anomaly_excluded,anomaly";
   constexpr const char* kHeader =
       "round,server_accuracy,mean_client_accuracy,cumulative_bytes,"
       "anomaly_excluded,anomaly,sim_ms,flushes,agg_uploads,stale_max";
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("import_history_csv: bad header");
-  }
-  const bool has_engine_columns = line == kHeader;
-  const bool has_anomaly_columns = has_engine_columns || line == kAnomalyHeader;
-  if (!has_anomaly_columns && line != kLegacyHeader) {
+  if (!std::getline(in, line) || line != kHeader) {
     throw std::runtime_error("import_history_csv: bad header");
   }
   while (std::getline(in, line)) {
@@ -260,45 +246,41 @@ RunHistory import_history_csv(const std::filesystem::path& path,
       throw std::runtime_error("import_history_csv: missing bytes");
     }
     m.cumulative_bytes = parse_count(field, "bytes");
-    if (has_anomaly_columns) {
-      if (!std::getline(row, field, ',')) {
-        throw std::runtime_error("import_history_csv: missing anomaly count");
-      }
-      const std::size_t excluded = parse_count(field, "anomaly count");
-      if (excluded > 0) {
-        RoundFaultStats f;
-        f.anomaly_excluded = excluded;
-        m.fault_stats = f;
-      }
-      // The anomaly cell may legitimately be empty; without the engine
-      // columns it is also the last cell, so getline fails at end-of-line.
-      if (std::getline(row, field, ',') && !field.empty()) {
-        m.anomaly = parse_anomaly_cell(field);
-      }
+    if (!std::getline(row, field, ',')) {
+      throw std::runtime_error("import_history_csv: missing anomaly count");
     }
-    if (has_engine_columns) {
-      // sim_ms is empty when the round carried no engine stats; then the
-      // remaining three cells are empty too.
+    const std::size_t excluded = parse_count(field, "anomaly count");
+    if (excluded > 0) {
+      RoundFaultStats f;
+      f.anomaly_excluded = excluded;
+      m.fault_stats = f;
+    }
+    // The anomaly cell may legitimately be empty.
+    if (!std::getline(row, field, ',')) {
+      throw std::runtime_error("import_history_csv: missing anomaly");
+    }
+    if (!field.empty()) m.anomaly = parse_anomaly_cell(field);
+    // sim_ms is empty when the round carried no engine stats; then the
+    // remaining three cells are empty too.
+    if (!std::getline(row, field, ',')) {
+      throw std::runtime_error("import_history_csv: missing sim_ms");
+    }
+    if (!field.empty()) {
+      RoundEngineStats e;
+      e.round_end_ms = static_cast<double>(parse_accuracy(field, "sim_ms"));
       if (!std::getline(row, field, ',')) {
-        throw std::runtime_error("import_history_csv: missing sim_ms");
+        throw std::runtime_error("import_history_csv: missing flushes");
       }
-      if (!field.empty()) {
-        RoundEngineStats e;
-        e.round_end_ms = static_cast<double>(parse_accuracy(field, "sim_ms"));
-        if (!std::getline(row, field, ',')) {
-          throw std::runtime_error("import_history_csv: missing flushes");
-        }
-        e.buffer_flushes = parse_count(field, "flushes");
-        if (!std::getline(row, field, ',')) {
-          throw std::runtime_error("import_history_csv: missing agg_uploads");
-        }
-        e.aggregated_uploads = parse_count(field, "agg_uploads");
-        if (!std::getline(row, field, ',')) {
-          throw std::runtime_error("import_history_csv: missing stale_max");
-        }
-        e.max_staleness = parse_count(field, "stale_max");
-        m.engine_stats = e;
+      e.buffer_flushes = parse_count(field, "flushes");
+      if (!std::getline(row, field, ',')) {
+        throw std::runtime_error("import_history_csv: missing agg_uploads");
       }
+      e.aggregated_uploads = parse_count(field, "agg_uploads");
+      if (!std::getline(row, field, ',')) {
+        throw std::runtime_error("import_history_csv: missing stale_max");
+      }
+      e.max_staleness = parse_count(field, "stale_max");
+      m.engine_stats = e;
     }
     history.rounds.push_back(m);
   }

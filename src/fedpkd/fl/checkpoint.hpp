@@ -28,8 +28,8 @@ namespace fedpkd::fl {
 /// + rename — a crash mid-save never replaces the old good file with a torn
 /// one) and, for the binary formats, carry durable's CRC32 whole-file footer
 /// so truncation and bit corruption are detected at load instead of decoded
-/// into garbage weights. Model checkpoint v2 adds the footer; v1 (legacy,
-/// unsealed) files still load.
+/// into garbage weights. Model checkpoints are v2, the first sealed version;
+/// load_checkpoint rejects anything else.
 ///
 /// History export writes the per-round metrics as CSV for plotting.
 
@@ -43,17 +43,18 @@ nn::Classifier load_checkpoint(const std::filesystem::path& path);
 
 /// Writes a RunHistory as CSV with the columns
 /// round,server_accuracy,mean_client_accuracy,cumulative_bytes,
-/// anomaly_excluded,anomaly
+/// anomaly_excluded,anomaly,sim_ms,flushes,agg_uploads,stale_max
 /// (server_accuracy empty for algorithms without a server model; the anomaly
-/// column semicolon-joins per-client records as node:score:excluded|kept).
+/// column semicolon-joins per-client records as node:score:excluded|kept;
+/// the four event-engine cells are empty for a round without engine stats).
 void export_history_csv(const RunHistory& history,
                         const std::filesystem::path& path);
 
 /// Parses a CSV produced by export_history_csv back into a RunHistory
 /// (algorithm name is taken from the `algorithm` argument since CSV does not
-/// carry it). Also accepts the legacy four-column header without the anomaly
-/// columns. Throws std::runtime_error on malformed input, including
-/// non-numeric or non-finite accuracy cells.
+/// carry it). Only export_history_csv's ten-column header is accepted.
+/// Throws std::runtime_error on malformed input, including non-numeric or
+/// non-finite accuracy cells.
 RunHistory import_history_csv(const std::filesystem::path& path,
                               std::string algorithm);
 

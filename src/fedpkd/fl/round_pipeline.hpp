@@ -152,10 +152,7 @@ class RoundStages {
                             Client& client) = 0;
 
   /// Serial hook between local training and the concurrent make_upload
-  /// fan-out (runs inside the upload timing span). Use it for work that is
-  /// cheaper batched across the cohort than repeated per slot — e.g. fusing
-  /// the public-set inference of matching architectures into one wide GEMM —
-  /// with make_upload then reading the precomputed per-slot results.
+  /// fan-out (runs inside the upload timing span). The default does nothing.
   virtual void before_upload(RoundContext& ctx) { (void)ctx; }
 
   /// Stage 2 — slot `i`'s uplink bundle (concurrent compute; the pipeline

@@ -93,10 +93,6 @@ class Classifier {
   /// -- Introspection ---------------------------------------------------------
 
   const std::string& arch() const { return arch_; }
-  /// Structural access for cross-model fusion (fl::CohortStepper inspects the
-  /// body's layer list to fuse matching stems into one wide GEMM).
-  Module& body() { return *body_; }
-  Linear& head() { return *head_; }
   std::size_t input_dim() const { return input_dim_; }
   std::size_t feature_dim() const { return head_->in_features(); }
   std::size_t num_classes() const { return head_->out_features(); }

@@ -30,9 +30,6 @@ class Sequential final : public Module {
   void release_step_buffers() override;
   std::unique_ptr<Module> clone() const override;
 
-  std::size_t size() const { return layers_.size(); }
-  Module& layer(std::size_t i) { return *layers_.at(i); }
-
  private:
   std::vector<std::unique_ptr<Module>> layers_;
 };

@@ -503,10 +503,10 @@ TEST(FedPkdAlgo, DirectMakeUploadAfterRoundRecomputesFreshLogits) {
   fed->meter.begin_round(0);
   algo.run_round(*fed, 0);
 
-  // The round's batched pass cached public logits for pre-digest weights;
-  // the downlink digest then changed every client. A direct make_upload
-  // call outside the pipeline must recompute from current weights — the
-  // invalidated cache may not serve the stale round's logits.
+  // The round's uploads were computed from pre-digest weights; the downlink
+  // digest then changed every client. A direct make_upload call outside the
+  // pipeline must compute from current weights — nothing may serve the
+  // stale round's logits.
   std::vector<fl::Client*> active;
   for (std::size_t c = 0; c < fed->num_clients(); ++c) {
     active.push_back(&fed->client(c));

@@ -373,21 +373,20 @@ TEST(ModelCheckpoint, RoundTripV2) {
             0.0f);
 }
 
-TEST(ModelCheckpoint, LegacyV1StillLoads) {
+/// The pre-durability v1 layout carries no CRC footer, so nothing vouches
+/// for its bytes: the loader refuses it rather than decode unverified weights.
+TEST(ModelCheckpoint, UnsealedV1IsRejected) {
   const ScopedDir dir("fedpkd_model_v1");
   const auto path = dir.path / "model.bin";
   nn::Classifier model = tiny_model();
   fl::save_checkpoint(model, path);
-  // Reconstruct the pre-durability v1 layout: strip the footer, patch the
-  // version field (u32 little-endian at offset 4) back to 1.
+  // Reconstruct the v1 layout: strip the footer, patch the version field
+  // (u32 little-endian at offset 4) back to 1.
   auto bytes = durable::read_file_bytes(path);
   bytes.resize(bytes.size() - durable::kFooterSize);
   bytes[4] = std::byte{1};
   write_raw(path, bytes);
-  nn::Classifier loaded = fl::load_checkpoint(path);
-  EXPECT_EQ(tensor::max_abs_difference(loaded.flat_weights(),
-                                       model.flat_weights()),
-            0.0f);
+  EXPECT_THROW(fl::load_checkpoint(path), std::runtime_error);
 }
 
 /// Offsets for the byte-level model sweeps: exhaustive over the header (magic,

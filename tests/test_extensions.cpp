@@ -120,6 +120,21 @@ TEST(Checkpoint, ImportRejectsBadHeader) {
   TempFile file("bad_header.csv");
   std::ofstream(file.path) << "wrong,header\n1,2\n";
   EXPECT_THROW(fl::import_history_csv(file.path, "x"), std::runtime_error);
+
+  // The four- and six-column headers of earlier exports are refused too,
+  // even over rows that would be valid under them.
+  TempFile four("legacy4_header.csv");
+  std::ofstream(four.path)
+      << "round,server_accuracy,mean_client_accuracy,cumulative_bytes\n"
+      << "0,0.5,0.4,1000\n";
+  EXPECT_THROW(fl::import_history_csv(four.path, "x"), std::runtime_error);
+
+  TempFile six("legacy6_header.csv");
+  std::ofstream(six.path)
+      << "round,server_accuracy,mean_client_accuracy,cumulative_bytes,"
+         "anomaly_excluded,anomaly\n"
+      << "0,0.5,0.4,1000,0,\n";
+  EXPECT_THROW(fl::import_history_csv(six.path, "x"), std::runtime_error);
 }
 
 TEST(Checkpoint, LoadRejectsWrongVersion) {
@@ -153,38 +168,44 @@ TEST(Checkpoint, LoadRejectsUnknownArchitecture) {
   EXPECT_THROW(fl::load_checkpoint(file.path), std::invalid_argument);
 }
 
+/// export_history_csv's header, and the six cells that end a row with no
+/// anomaly records and no engine stats; each case below breaks one cell.
 const char* kCsvHeader =
-    "round,server_accuracy,mean_client_accuracy,cumulative_bytes\n";
+    "round,server_accuracy,mean_client_accuracy,cumulative_bytes,"
+    "anomaly_excluded,anomaly,sim_ms,flushes,agg_uploads,stale_max\n";
+const char* kCsvTail = ",0,,,,,\n";
 
 TEST(Checkpoint, ImportRejectsNonFiniteAccuracyCells) {
   // A NaN accuracy cell would silently poison every best-accuracy and
   // bytes-to-target query downstream; the importer must refuse it.
   TempFile nan_cell("hist_nan.csv");
-  std::ofstream(nan_cell.path) << kCsvHeader << "0,nan,0.4,1000\n";
+  std::ofstream(nan_cell.path) << kCsvHeader << "0,nan,0.4,1000" << kCsvTail;
   EXPECT_THROW(fl::import_history_csv(nan_cell.path, "x"), std::runtime_error);
 
   TempFile inf_cell("hist_inf.csv");
-  std::ofstream(inf_cell.path) << kCsvHeader << "0,0.5,inf,1000\n";
+  std::ofstream(inf_cell.path) << kCsvHeader << "0,0.5,inf,1000" << kCsvTail;
   EXPECT_THROW(fl::import_history_csv(inf_cell.path, "x"), std::runtime_error);
 }
 
 TEST(Checkpoint, ImportRejectsJunkAndPartialNumericCells) {
   TempFile junk_round("hist_junk_round.csv");
-  std::ofstream(junk_round.path) << kCsvHeader << "abc,0.5,0.4,1000\n";
+  std::ofstream(junk_round.path)
+      << kCsvHeader << "abc,0.5,0.4,1000" << kCsvTail;
   EXPECT_THROW(fl::import_history_csv(junk_round.path, "x"),
                std::runtime_error);
 
   TempFile junk_acc("hist_junk_acc.csv");
-  std::ofstream(junk_acc.path) << kCsvHeader << "0,0.5,zero,1000\n";
+  std::ofstream(junk_acc.path) << kCsvHeader << "0,0.5,zero,1000" << kCsvTail;
   EXPECT_THROW(fl::import_history_csv(junk_acc.path, "x"), std::runtime_error);
 
   // Partially-numeric cells ("12abc") must not be accepted as 12.
   TempFile partial("hist_partial.csv");
-  std::ofstream(partial.path) << kCsvHeader << "0,0.5,0.4,12abc\n";
+  std::ofstream(partial.path) << kCsvHeader << "0,0.5,0.4,12abc" << kCsvTail;
   EXPECT_THROW(fl::import_history_csv(partial.path, "x"), std::runtime_error);
 
   TempFile partial_acc("hist_partial_acc.csv");
-  std::ofstream(partial_acc.path) << kCsvHeader << "0,0.5e,0.4,1000\n";
+  std::ofstream(partial_acc.path)
+      << kCsvHeader << "0,0.5e,0.4,1000" << kCsvTail;
   EXPECT_THROW(fl::import_history_csv(partial_acc.path, "x"),
                std::runtime_error);
 }
@@ -199,13 +220,13 @@ TEST(Checkpoint, ImportAcceptsEmptyServerAccuracyOnly) {
   // The one legitimately empty cell is server accuracy (server-less
   // algorithms); an empty *client* accuracy is malformed.
   TempFile ok("hist_empty_server.csv");
-  std::ofstream(ok.path) << kCsvHeader << "0,,0.4,1000\n";
+  std::ofstream(ok.path) << kCsvHeader << "0,,0.4,1000" << kCsvTail;
   const fl::RunHistory back = fl::import_history_csv(ok.path, "x");
   ASSERT_EQ(back.rounds.size(), 1u);
   EXPECT_FALSE(back.rounds[0].server_accuracy.has_value());
 
   TempFile bad("hist_empty_client.csv");
-  std::ofstream(bad.path) << kCsvHeader << "0,0.5,,1000\n";
+  std::ofstream(bad.path) << kCsvHeader << "0,0.5,,1000" << kCsvTail;
   EXPECT_THROW(fl::import_history_csv(bad.path, "x"), std::runtime_error);
 }
 
