@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/trainer.hpp"
 #include "fedpkd/nn/loss.hpp"
@@ -31,25 +33,34 @@ void BM_ForwardBatch32(benchmark::State& state) {
 BENCHMARK(BM_ForwardBatch32)->DenseRange(0, 3);
 
 /// One shared training step (nn::TrainStep, the step every training loop
-/// runs) at batch 32. Args: arch (0 = resmlp20, 1 = resmlp56), lanes.
+/// runs) at batch 32. Args: arch (0 = resmlp20, 1 = resmlp56), lanes. The
+/// steps cycle through kBatches distinct inputs, as a training loop does:
+/// on one fixed batch the ReLU zero patterns repeat and the branch predictor
+/// learns them.
 void BM_TrainStepBatch32(benchmark::State& state) {
+  constexpr std::size_t kBatches = 16;
   const std::string arch = state.range(0) == 0 ? "resmlp20" : "resmlp56";
   exec::set_num_threads(static_cast<std::size_t>(state.range(1)));
   Rng rng(2);
   nn::Classifier model = nn::make_classifier(arch, 32, 10, rng);
   nn::Adam adam(model.parameters());
   nn::TrainStep step(model, adam);
-  const Tensor x = Tensor::randn({32, 32}, rng);
+  std::vector<Tensor> xs;
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    xs.push_back(Tensor::randn({32, 32}, rng));
+  }
   std::vector<int> y(32);
   for (std::size_t i = 0; i < 32; ++i) y[i] = static_cast<int>(i % 10);
   const auto cross_entropy = [&](const Tensor& logits, const Tensor&) {
     nn::LossResult ce = nn::softmax_cross_entropy(logits, y);
     return nn::StepLoss{ce.value, std::move(ce.grad)};
   };
-  step.run(x, cross_entropy);  // warm-up: shapes the step buffers
+  step.run(xs[0], cross_entropy);  // warm-up: shapes the step buffers
   const auto allocs_before = Tensor::allocation_count();
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(step.run(x, cross_entropy));
+    benchmark::DoNotOptimize(step.run(xs[i], cross_entropy));
+    i = (i + 1) % kBatches;
   }
   state.SetLabel(arch + ",batch=32,lanes=" +
                  std::to_string(exec::num_threads()));

@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "fedpkd/tensor/kernels.hpp"
 #include "fedpkd/tensor/ops.hpp"
@@ -58,6 +60,40 @@ void BM_MatmulNaive(benchmark::State& state) {
   state.counters["flops_per_iter"] = 2.0 * static_cast<double>(n * n * n);
 }
 BENCHMARK(BM_MatmulNaive)->Arg(32)->Arg(64)->Arg(128);
+
+/// The matmul tiles on a ReLU output, the A operand of every hidden layer
+/// in training and inference: about half the entries are exact zeros, in a
+/// fresh pattern per call. The bench cycles through kPatterns distinct A
+/// operands so a branch predictor cannot learn one pattern, as it would on
+/// the single input that BM_Matmul reuses. Arg: m rows; k = n = 96, the
+/// resmlp56 width.
+void BM_MatmulReluSparse(benchmark::State& state) {
+  constexpr std::size_t kPatterns = 64, k = 96, n = 96;
+  const auto m = static_cast<std::size_t>(state.range(0));
+  Rng rng(10);
+  std::vector<Tensor> a;
+  for (std::size_t p = 0; p < kPatterns; ++p) {
+    Tensor x = Tensor::randn({m, k}, rng);
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = std::max(x[i], 0.0f);
+    a.push_back(std::move(x));
+  }
+  const Tensor b = Tensor::randn({k, n}, rng);
+  Tensor c({m, n});
+  const auto allocs_before = Tensor::allocation_count();
+  std::size_t p = 0;
+  for (auto _ : state) {
+    kernels::matmul_rows(a[p].data(), b.data(), c.data(), k, n, 0, m);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+    p = (p + 1) % kPatterns;
+  }
+  state.SetLabel(std::to_string(m) + "x96x96,relu");
+  state.counters["flops_per_iter"] = 2.0 * static_cast<double>(m * k * n);
+  state.counters["allocs_per_iter"] =
+      static_cast<double>(Tensor::allocation_count() - allocs_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_MatmulReluSparse)->Arg(32)->Arg(256);
 
 void BM_MatmulTransposeA(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -100,6 +100,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -107,6 +108,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "fedpkd/core/fedpkd.hpp"
 #include "fedpkd/core/fedproto.hpp"
@@ -185,6 +187,25 @@ comm::RoundStage parse_stage(const std::string& s) {
                               "' (broadcast|upload|download)");
 }
 
+/// The number `value` of `flag`: the whole string must parse as a T (an
+/// unsigned T takes no sign, so "-1" is an error, not a huge count);
+/// otherwise throws std::invalid_argument naming the flag and the value.
+template <typename T>
+T parse_number(const char* flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(
+        std::string(flag) + ": expected " +
+        (std::is_floating_point_v<T> ? "a number"
+         : std::is_unsigned_v<T>     ? "a non-negative integer"
+                                     : "an integer") +
+        ", got '" + value + "'");
+  }
+  return out;
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   auto need = [&](int& i, const char* flag) -> std::string {
@@ -193,43 +214,49 @@ Args parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  auto count = [&](int& i, const char* flag) {
+    return parse_number<std::size_t>(flag, need(i, flag));
+  };
+  auto real = [&](int& i, const char* flag) {
+    return parse_number<double>(flag, need(i, flag));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--dataset") args.dataset = need(i, "--dataset");
     else if (a == "--algorithm") args.algorithm = need(i, "--algorithm");
     else if (a == "--partition") args.partition = need(i, "--partition");
-    else if (a == "--alpha") args.alpha = std::stod(need(i, "--alpha"));
-    else if (a == "--k") args.k = std::stoul(need(i, "--k"));
-    else if (a == "--clients") args.clients = std::stoul(need(i, "--clients"));
-    else if (a == "--rounds") args.rounds = std::stoul(need(i, "--rounds"));
+    else if (a == "--alpha") args.alpha = real(i, "--alpha");
+    else if (a == "--k") args.k = count(i, "--k");
+    else if (a == "--clients") args.clients = count(i, "--clients");
+    else if (a == "--rounds") args.rounds = count(i, "--rounds");
     else if (a == "--hetero") args.hetero = true;
     else if (a == "--population")
-      args.population = std::stoul(need(i, "--population"));
+      args.population = count(i, "--population");
     else if (a == "--warm-cache")
-      args.warm_cache = std::stoul(need(i, "--warm-cache"));
+      args.warm_cache = count(i, "--warm-cache");
     else if (a == "--edge-aggregators")
-      args.edge_aggregators = std::stoul(need(i, "--edge-aggregators"));
-    else if (a == "--threads") args.threads = std::stoul(need(i, "--threads"));
+      args.edge_aggregators = count(i, "--edge-aggregators");
+    else if (a == "--threads") args.threads = count(i, "--threads");
     else if (a == "--csv") args.csv = need(i, "--csv");
     else if (a == "--checkpoint") args.checkpoint = need(i, "--checkpoint");
-    else if (a == "--seed") args.seed = std::stoull(need(i, "--seed"));
+    else if (a == "--seed") args.seed = count(i, "--seed");
     else if (a == "--drop") {
-      args.faults.drop_probability = std::stod(need(i, "--drop"));
+      args.faults.drop_probability = real(i, "--drop");
       args.have_faults = true;
     } else if (a == "--corrupt") {
-      args.faults.corrupt_probability = std::stod(need(i, "--corrupt"));
+      args.faults.corrupt_probability = real(i, "--corrupt");
       args.have_faults = true;
     } else if (a == "--latency-ms") {
-      args.faults.latency_ms = std::stod(need(i, "--latency-ms"));
+      args.faults.latency_ms = real(i, "--latency-ms");
       args.have_faults = true;
     } else if (a == "--jitter-ms") {
-      args.faults.jitter_ms = std::stod(need(i, "--jitter-ms"));
+      args.faults.jitter_ms = real(i, "--jitter-ms");
       args.have_faults = true;
     } else if (a == "--retries") {
-      args.faults.max_retries = std::stoul(need(i, "--retries"));
+      args.faults.max_retries = count(i, "--retries");
       args.have_faults = true;
     } else if (a == "--fault-seed") {
-      args.faults.seed = std::stoull(need(i, "--fault-seed"));
+      args.faults.seed = count(i, "--fault-seed");
       args.have_faults = true;
     } else if (a == "--straggler") {
       const std::string v = need(i, "--straggler");
@@ -238,8 +265,8 @@ Args parse(int argc, char** argv) {
         throw std::invalid_argument("--straggler wants ID:FACTOR, got " + v);
       }
       args.faults.stragglers.emplace_back(
-          static_cast<comm::NodeId>(std::stol(v.substr(0, colon))),
-          std::stod(v.substr(colon + 1)));
+          parse_number<comm::NodeId>("--straggler", v.substr(0, colon)),
+          parse_number<double>("--straggler", v.substr(colon + 1)));
       args.have_faults = true;
     } else if (a == "--crash") {
       const std::string v = need(i, "--crash");
@@ -249,46 +276,46 @@ Args parse(int argc, char** argv) {
         throw std::invalid_argument("--crash wants ROUND:STAGE:ID, got " + v);
       }
       args.faults.crashes.push_back(comm::CrashEvent{
-          std::stoul(v.substr(0, c1)),
+          parse_number<std::size_t>("--crash", v.substr(0, c1)),
           parse_stage(v.substr(c1 + 1, c2 - c1 - 1)),
-          static_cast<comm::NodeId>(std::stol(v.substr(c2 + 1)))});
+          parse_number<comm::NodeId>("--crash", v.substr(c2 + 1))});
       args.have_faults = true;
     } else if (a == "--deadline-ms") {
-      args.deadline_ms = std::stod(need(i, "--deadline-ms"));
+      args.deadline_ms = real(i, "--deadline-ms");
     } else if (a == "--quorum") {
-      args.quorum = std::stod(need(i, "--quorum"));
+      args.quorum = real(i, "--quorum");
       args.have_quorum = true;
     } else if (a == "--round-mode") {
       args.round_mode = fl::parse_round_mode(need(i, "--round-mode"));
     } else if (a == "--buffer-k") {
-      args.buffer_k = std::stoul(need(i, "--buffer-k"));
+      args.buffer_k = count(i, "--buffer-k");
       args.have_buffer_k = true;
     } else if (a == "--staleness-beta") {
-      args.staleness_beta = std::stod(need(i, "--staleness-beta"));
+      args.staleness_beta = real(i, "--staleness-beta");
       if (args.staleness_beta < 0.0) {
         throw std::invalid_argument("--staleness-beta must be >= 0");
       }
     } else if (a == "--wake-interval-ms") {
-      args.wake_interval_ms = std::stod(need(i, "--wake-interval-ms"));
+      args.wake_interval_ms = real(i, "--wake-interval-ms");
       if (args.wake_interval_ms <= 0.0) {
         throw std::invalid_argument("--wake-interval-ms must be > 0");
       }
     } else if (a == "--max-weight-norm") {
-      args.max_weight_norm = std::stod(need(i, "--max-weight-norm"));
+      args.max_weight_norm = real(i, "--max-weight-norm");
     } else if (a == "--robust") {
       args.robust.rule = robust::parse_robust_aggregation(need(i, "--robust"));
     } else if (a == "--robust-f") {
-      args.robust.assumed_adversaries = std::stoul(need(i, "--robust-f"));
+      args.robust.assumed_adversaries = count(i, "--robust-f");
     } else if (a == "--robust-m") {
-      args.robust.multi_krum_m = std::stoul(need(i, "--robust-m"));
+      args.robust.multi_krum_m = count(i, "--robust-m");
     } else if (a == "--robust-clip") {
-      args.robust.clip_norm = std::stod(need(i, "--robust-clip"));
+      args.robust.clip_norm = real(i, "--robust-clip");
     } else if (a == "--anomaly-theta") {
       args.robust.anomaly_filter = true;
-      args.robust.anomaly_theta = std::stod(need(i, "--anomaly-theta"));
+      args.robust.anomaly_theta = real(i, "--anomaly-theta");
     } else if (a == "--anomaly-max-exclude") {
       args.robust.anomaly_max_exclude_fraction =
-          std::stod(need(i, "--anomaly-max-exclude"));
+          real(i, "--anomaly-max-exclude");
     } else if (a == "--adaptive-norm") {
       args.adaptive_norm = true;
     } else if (a == "--attack") {
@@ -301,27 +328,29 @@ Args parse(int argc, char** argv) {
       const auto c2 = v.find(':', c1 + 1);
       robust::AdversarialClient adv;
       adv.type = robust::parse_attack_type(v.substr(0, c1));
-      adv.node = static_cast<comm::NodeId>(
-          std::stol(v.substr(c1 + 1, c2 == std::string::npos
-                                         ? std::string::npos
-                                         : c2 - c1 - 1)));
-      if (c2 != std::string::npos) adv.scale = std::stod(v.substr(c2 + 1));
+      adv.node = parse_number<comm::NodeId>(
+          "--attack", v.substr(c1 + 1, c2 == std::string::npos
+                                           ? std::string::npos
+                                           : c2 - c1 - 1));
+      if (c2 != std::string::npos) {
+        adv.scale = parse_number<double>("--attack", v.substr(c2 + 1));
+      }
       args.attacks.adversaries.push_back(adv);
       args.have_attacks = true;
     } else if (a == "--attack-start") {
-      args.attacks.start_round = std::stoul(need(i, "--attack-start"));
+      args.attacks.start_round = count(i, "--attack-start");
     } else if (a == "--attack-seed") {
-      args.attacks.seed = std::stoull(need(i, "--attack-seed"));
+      args.attacks.seed = count(i, "--attack-seed");
     } else if (a == "--save-state") {
       args.save_state = need(i, "--save-state");
     } else if (a == "--state-every") {
-      args.state_every = std::stoul(need(i, "--state-every"));
+      args.state_every = count(i, "--state-every");
     } else if (a == "--resume") {
       args.resume = need(i, "--resume");
     } else if (a == "--state-chain") {
       args.state_chain = need(i, "--state-chain");
     } else if (a == "--state-generations") {
-      args.state_generations = std::stoul(need(i, "--state-generations"));
+      args.state_generations = count(i, "--state-generations");
       if (args.state_generations == 0) {
         throw std::invalid_argument("--state-generations must be >= 1");
       }
@@ -330,15 +359,15 @@ Args parse(int argc, char** argv) {
     } else if (a == "--supervise") {
       args.supervise_run = true;
     } else if (a == "--max-restarts") {
-      args.max_restarts = std::stoul(need(i, "--max-restarts"));
+      args.max_restarts = count(i, "--max-restarts");
     } else if (a == "--restart-backoff-ms") {
-      args.restart_backoff_ms = std::stoull(need(i, "--restart-backoff-ms"));
+      args.restart_backoff_ms = count(i, "--restart-backoff-ms");
     } else if (a == "--final-state") {
       args.final_state = need(i, "--final-state");
     } else if (a == "--verify-chain") {
       args.verify_chain = true;
     } else if (a == "--io-enospc-after") {
-      args.io_enospc_after = std::stoul(need(i, "--io-enospc-after"));
+      args.io_enospc_after = count(i, "--io-enospc-after");
     } else if (a == "--list-crash-points") {
       for (const std::string& name : fl::durable::crash_point_names()) {
         std::cout << name << "\n";

@@ -1,5 +1,6 @@
 #include "fedpkd/fl/trainer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fedpkd/data/loader.hpp"
@@ -185,30 +186,37 @@ TrainStats train_distill(Classifier& model, const DistillSet& set, float gamma,
 
 namespace {
 
-template <typename Forward>
-Tensor batched_apply(const Tensor& inputs, std::size_t batch_size,
-                     std::size_t out_cols, Forward&& forward) {
-  if (inputs.rank() != 2) {
-    throw std::invalid_argument("batched_apply: inputs must be rank-2");
+/// Rows per lane tile, small: a lane's EvalScratch keeps them between calls.
+constexpr std::size_t kLaneTileRows = 32;
+
+/// `into` (logits_into or features_into) over every row of `inputs`, with
+/// one fork per call: each lane runs the whole network over its share of the
+/// rows, tile by tile, through its own thread-local EvalScratch, so nested
+/// dispatch_rows run inline. Rows are independent, so the result is bitwise
+/// independent of the split and the tiles; a warm call allocates only `out`.
+Tensor batched_apply(Classifier& model, const Tensor& inputs,
+                     std::size_t batch_size, std::size_t out_cols,
+                     void (Classifier::*into)(const Tensor&, Tensor&)) {
+  if (inputs.rank() != 2 || batch_size == 0) {
+    throw std::invalid_argument(
+        "batched_apply: inputs must be rank-2 and batch_size > 0");
   }
-  if (batch_size == 0) {
-    throw std::invalid_argument("batched_apply: batch_size must be > 0");
-  }
-  const std::size_t n = inputs.rows();
+  const std::size_t n = inputs.rows(), d = inputs.cols();
   Tensor out({n, out_cols});
-  std::vector<std::size_t> idx;
-  Tensor xbuf;
-  for (std::size_t start = 0; start < n; start += batch_size) {
-    const std::size_t take = std::min(batch_size, n - start);
-    idx.resize(take);
-    for (std::size_t i = 0; i < take; ++i) idx[i] = start + i;
-    inputs.gather_rows_into(idx, xbuf);
-    Tensor block = forward(xbuf);
-    for (std::size_t i = 0; i < take; ++i) {
-      out.set_row(start + i, block.row(i));
+  const std::size_t grain = exec::grain_for_cost(model.parameter_count());
+  exec::parallel_for(n, grain, [&](std::size_t r0, std::size_t r1) {
+    nn::EvalScratch scratch;
+    Tensor& x = scratch.a();
+    Tensor& y = scratch.b();
+    const std::size_t tile = std::min(batch_size, kLaneTileRows);
+    for (std::size_t start = r0; start < r1; start += tile) {
+      const std::size_t take = std::min(tile, r1 - start);
+      x.ensure_shape({take, d});
+      std::copy_n(inputs.data() + start * d, take * d, x.data());
+      (model.*into)(x, y);
+      std::copy_n(y.data(), take * out_cols, out.data() + start * out_cols);
     }
-  }
-  nn::EvalScratch::release_unused();
+  });
   return out;
 }
 
@@ -216,18 +224,14 @@ Tensor batched_apply(const Tensor& inputs, std::size_t batch_size,
 
 Tensor compute_logits(Classifier& model, const Tensor& inputs,
                       std::size_t batch_size) {
-  return batched_apply(inputs, batch_size, model.num_classes(),
-                       [&](const Tensor& x) {
-                         return model.forward(x, /*train=*/false);
-                       });
+  return batched_apply(model, inputs, batch_size, model.num_classes(),
+                       &Classifier::logits_into);
 }
 
 Tensor compute_features(Classifier& model, const Tensor& inputs,
                         std::size_t batch_size) {
-  return batched_apply(inputs, batch_size, model.feature_dim(),
-                       [&](const Tensor& x) {
-                         return model.features(x, /*train=*/false);
-                       });
+  return batched_apply(model, inputs, batch_size, model.feature_dim(),
+                       &Classifier::features_into);
 }
 
 float evaluate_accuracy(Classifier& model, const data::Dataset& dataset,

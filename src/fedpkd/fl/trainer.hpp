@@ -62,8 +62,8 @@ TrainStats train_distill(Classifier& model, const DistillSet& set, float gamma,
                          const TrainOptions& options, Rng& rng,
                          float temperature = 1.0f);
 
-/// Batched inference: logits for every row of `inputs` (eval mode, no caches
-/// kept). Batch bound keeps peak memory flat for large public sets.
+/// Batched inference: logits for every row of `inputs` (eval mode), split
+/// across the lanes, each in tiles of at most min(batch_size, 32) rows.
 Tensor compute_logits(Classifier& model, const Tensor& inputs,
                       std::size_t batch_size = 256);
 

@@ -63,6 +63,11 @@ void Classifier::logits_into(const Tensor& x, Tensor& out) {
   head_->forward_eval_into(scratch.a(), out);
 }
 
+void Classifier::features_into(const Tensor& x, Tensor& out) {
+  check_input(x, "Classifier::features_into");
+  body_->forward_eval_into(x, out);
+}
+
 void Classifier::backward(const Tensor& grad_logits,
                           const Tensor* grad_features_extra) {
   if (!forward_through_head_) {

@@ -39,10 +39,12 @@ class Classifier {
   Tensor forward(const Tensor& x, bool train = true);
 
   /// Inference-only logits written into `out` (allocation-free after
-  /// warm-up). Bitwise equal to forward(x, /*train=*/false) and leaves the
-  /// step buffers untouched, so it can be interleaved with training passes.
-  /// `out` must not alias `x`.
+  /// warm-up). Bitwise equal to forward(x, /*train=*/false). Writes no
+  /// module state, so it can be interleaved with training passes and run on
+  /// several lanes over one model at once. `out` must not alias `x`.
   void logits_into(const Tensor& x, Tensor& out);
+  /// The features twin of logits_into: R_w(x) written into `out`.
+  void features_into(const Tensor& x, Tensor& out);
 
   /// Features of the most recent training pass (the body's output buffer).
   const Tensor& last_features() const { return body_->output(); }

@@ -11,11 +11,15 @@ Dropout::Dropout(float p, Rng rng) : p_(p), rng_(rng) {
   }
 }
 
-void Dropout::forward_eval_into(const Tensor& x, Tensor& out) {
-  out = x;
-  if (x.rank() == 2) Module::prepare(x.rows(), x.cols());
-  mask_ = Tensor();
+Tensor Dropout::forward(const Tensor& x, bool train) {
+  if (!train && x.rank() == 2) {
+    Module::prepare(x.rows(), x.cols());
+    mask_ = Tensor();
+  }
+  return Module::forward(x, train);
 }
+
+void Dropout::forward_eval_into(const Tensor& x, Tensor& out) { out = x; }
 
 void Dropout::prepare(std::size_t m, std::size_t in_cols) {
   Module::prepare(m, in_cols);

@@ -13,9 +13,11 @@ class Dropout final : public Module {
   /// p in [0, 1): drop probability. Draws masks from `rng` (copied).
   Dropout(float p, Rng rng);
 
-  /// The identity. Like a training pass with p == 0, it leaves the layer as
-  /// the identity for a following backward(), which passes the gradient
-  /// straight through.
+  /// The whole-batch pass. With train == false it is the identity and, like
+  /// a training pass with p == 0, leaves the layer as the identity for a
+  /// following backward(), which passes the gradient straight through.
+  Tensor forward(const Tensor& x, bool train = true) override;
+  /// The identity, as a pure copy: writes no module state.
   void forward_eval_into(const Tensor& x, Tensor& out) override;
   /// Draws the whole batch's mask, element by element in row-major order.
   void prepare(std::size_t m, std::size_t in_cols) override;

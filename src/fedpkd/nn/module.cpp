@@ -27,8 +27,6 @@ EvalScratch::EvalScratch() {
 
 EvalScratch::~EvalScratch() { --t_eval_depth; }
 
-void EvalScratch::release_unused() { t_eval_levels.resize(t_eval_depth); }
-
 Tensor Module::forward(const Tensor& x, bool train) {
   if (!train) {
     Tensor out;

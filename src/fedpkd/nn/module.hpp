@@ -66,7 +66,7 @@ class Module {
   /// train == true: the whole step's first two phases on one range — prepare,
   /// then forward_rows over all rows; returns a copy of output(). train ==
   /// false: forward_eval_into into a fresh tensor.
-  Tensor forward(const Tensor& x, bool train = true);
+  virtual Tensor forward(const Tensor& x, bool train = true);
 
   /// Backward over all rows, then every gradient job: accumulates (+=) the
   /// parameter gradients and returns dLoss/dInput. Must follow a
@@ -76,8 +76,9 @@ class Module {
   /// Inference pass that writes into a caller-provided tensor instead of
   /// returning a fresh one, so steady-state evaluation (public-set logits
   /// every round) reuses the same buffers and allocates nothing after
-  /// warm-up. `out` must not alias `x`. Does not disturb the step buffers
-  /// (except Dropout's, which an inference pass resets to the identity).
+  /// warm-up. `out` must not alias `x`. Writes no module state: several
+  /// lanes may run it over one model at once, and it leaves the step
+  /// buffers of a training step as they were.
   virtual void forward_eval_into(const Tensor& x, Tensor& out) = 0;
 
   /// -- Row-phased training step ----------------------------------------------
@@ -134,10 +135,10 @@ class Module {
 };
 
 /// Hop buffers for forward_eval_into chains (Sequential, Residual,
-/// Classifier::logits_into). Each live EvalScratch on a thread holds its own
-/// nesting level of a per-thread pool, so nested chains never alias, while
-/// sibling blocks at one depth reuse the same cache-warm tensors and steady
-/// state allocates nothing.
+/// Classifier::logits_into, the lanes of fl::compute_logits). Each live
+/// EvalScratch on a thread holds its own nesting level of a per-thread pool,
+/// so nested chains never alias, while sibling blocks at one depth reuse the
+/// same cache-warm tensors and steady state allocates nothing.
 class EvalScratch {
  public:
   EvalScratch();
@@ -147,10 +148,6 @@ class EvalScratch {
 
   Tensor& a() { return *a_; }
   Tensor& b() { return *b_; }
-
-  /// Frees the calling thread's levels that no live EvalScratch holds. For
-  /// one-off evaluations, so their scratch does not stay resident.
-  static void release_unused();
 
  private:
   Tensor* a_;

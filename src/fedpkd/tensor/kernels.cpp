@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "fedpkd/tensor/workspace.hpp"
 
@@ -18,9 +18,7 @@ namespace {
 /// so each loaded B row feeds kMr accumulator rows and C traffic collapses to
 /// one store per element. kNc = 8 floats = two 128-bit vectors; with kMr = 6
 /// the 12 accumulator vectors plus the 2 B vectors and the A broadcast fill
-/// the 16-register SSE file exactly. The accumulators are explicit __m128
-/// locals because the zero-skip branches otherwise make the compiler spill a
-/// plain float array to the stack on every iteration.
+/// the 16-register SSE file exactly.
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNc = 8;
 
@@ -41,13 +39,17 @@ constexpr std::size_t kNcAvx = 16;
 
 enum class Store { kAssign, kAddBias, kAccumulate };
 
-/// True iff *p is +0.0f or -0.0f — the zero-skip predicate `av == 0.0f` of
-/// the naive kernels, tested on the bit pattern so the hot loop spends one
-/// integer test+branch per A element instead of a ucomiss plus two branches.
-inline bool is_float_zero(const float* p) {
-  std::uint32_t bits;
-  std::memcpy(&bits, p, sizeof(bits));
-  return (bits << 1) == 0;
+// The zero skip (DESIGN.md §8). The naive kernels skip A elements equal to
+// ±0, a branch that mispredicts half the time on ReLU outputs, so the tiles
+// multiply and add every A element: bitwise the same whenever the tile's sums
+// come out finite, since a zero against a finite B element adds ±0, an
+// accumulator (from +0) is never -0 under round-to-nearest, and a partial sum
+// that met inf or NaN never turns finite again. A tile whose sums are not all
+// finite reruns its k loop with the skip (kSkipZeros), the naive rule.
+
+inline bool all_finite(__m128 x) {
+  const __m128 d = _mm_sub_ps(x, x);  // 0 if finite, NaN for inf and NaN
+  return _mm_movemask_ps(_mm_cmpeq_ps(d, d)) == 0xF;
 }
 
 template <Store kStore>
@@ -73,63 +75,55 @@ inline void store_tile(const float (&acc)[kMr][kNcAvx], const float* bias,
 /// strides so the same kernel serves A and A^T layouts. _mm_mul_ps and
 /// _mm_add_ps are elementwise IEEE float ops, so each output element still
 /// sees exactly the naive kernel's mul-add sequence in ascending kk order,
-/// and the av != 0 guard is the naive kernels' zero-skip predicate.
+/// with the zero skip as argued above.
 template <Store kStore>
 inline void gemm_tile_full(const float* a, std::size_t a_row_stride,
                            std::size_t a_k_stride, const float* b,
                            const float* bias, float* c, std::size_t k,
                            std::size_t n, std::size_t i0, std::size_t j0) {
-  __m128 acc00 = _mm_setzero_ps(), acc01 = _mm_setzero_ps();
-  __m128 acc10 = _mm_setzero_ps(), acc11 = _mm_setzero_ps();
-  __m128 acc20 = _mm_setzero_ps(), acc21 = _mm_setzero_ps();
-  __m128 acc30 = _mm_setzero_ps(), acc31 = _mm_setzero_ps();
-  __m128 acc40 = _mm_setzero_ps(), acc41 = _mm_setzero_ps();
-  __m128 acc50 = _mm_setzero_ps(), acc51 = _mm_setzero_ps();
-  const float* pa0 = a + (i0 + 0) * a_row_stride;
-  const float* pa1 = a + (i0 + 1) * a_row_stride;
-  const float* pa2 = a + (i0 + 2) * a_row_stride;
-  const float* pa3 = a + (i0 + 3) * a_row_stride;
-  const float* pa4 = a + (i0 + 4) * a_row_stride;
-  const float* pa5 = a + (i0 + 5) * a_row_stride;
-  const float* brow = b + j0;
-  for (std::size_t kk = 0; kk < k; ++kk, brow += n) {
-    const __m128 b0 = _mm_loadu_ps(brow);
-    const __m128 b1 = _mm_loadu_ps(brow + 4);
-    const std::size_t ka = kk * a_k_stride;
-    const auto row_step = [&](const float* pa, __m128& lo, __m128& hi) {
-      if (!is_float_zero(pa + ka)) {
-        const __m128 v = _mm_set1_ps(pa[ka]);
-        lo = _mm_add_ps(lo, _mm_mul_ps(v, b0));
-        hi = _mm_add_ps(hi, _mm_mul_ps(v, b1));
+  __m128 lo[kMr], hi[kMr];
+  const float* pa[kMr];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kMr; ++r) pa[r] = a + (i0 + r) * a_row_stride;
+  const auto accumulate = [&](auto skip_zeros) {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < kMr; ++r) lo[r] = hi[r] = _mm_setzero_ps();
+    const float* brow = b + j0;
+    for (std::size_t kk = 0; kk < k; ++kk, brow += n) {
+      const __m128 b0 = _mm_loadu_ps(brow);
+      const __m128 b1 = _mm_loadu_ps(brow + 4);
+      const std::size_t ka = kk * a_k_stride;
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < kMr; ++r) {
+        if (skip_zeros && pa[r][ka] == 0.0f) continue;
+        const __m128 v = _mm_set1_ps(pa[r][ka]);
+        lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(v, b0));
+        hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(v, b1));
       }
-    };
-    row_step(pa0, acc00, acc01);
-    row_step(pa1, acc10, acc11);
-    row_step(pa2, acc20, acc21);
-    row_step(pa3, acc30, acc31);
-    row_step(pa4, acc40, acc41);
-    row_step(pa5, acc50, acc51);
-  }
-  const auto store_row = [&](std::size_t i, __m128 lo, __m128 hi) {
-    float* crow = c + (i0 + i) * n + j0;
-    if constexpr (kStore == Store::kAssign) {
-      _mm_storeu_ps(crow, lo);
-      _mm_storeu_ps(crow + 4, hi);
-    } else if constexpr (kStore == Store::kAddBias) {
-      _mm_storeu_ps(crow, _mm_add_ps(lo, _mm_loadu_ps(bias + j0)));
-      _mm_storeu_ps(crow + 4, _mm_add_ps(hi, _mm_loadu_ps(bias + j0 + 4)));
-    } else {
-      // c += acc, keeping the original "c[j] += acc" operand order.
-      _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), lo));
-      _mm_storeu_ps(crow + 4, _mm_add_ps(_mm_loadu_ps(crow + 4), hi));
     }
   };
-  store_row(0, acc00, acc01);
-  store_row(1, acc10, acc11);
-  store_row(2, acc20, acc21);
-  store_row(3, acc30, acc31);
-  store_row(4, acc40, acc41);
-  store_row(5, acc50, acc51);
+  accumulate(std::false_type{});
+  __m128 sum = _mm_setzero_ps();
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kMr; ++r) {
+    sum = _mm_add_ps(sum, _mm_add_ps(lo[r], hi[r]));
+  }
+  if (!all_finite(sum)) accumulate(std::true_type{});
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kMr; ++r) {
+    float* crow = c + (i0 + r) * n + j0;
+    if constexpr (kStore == Store::kAssign) {
+      _mm_storeu_ps(crow, lo[r]);
+      _mm_storeu_ps(crow + 4, hi[r]);
+    } else if constexpr (kStore == Store::kAddBias) {
+      _mm_storeu_ps(crow, _mm_add_ps(lo[r], _mm_loadu_ps(bias + j0)));
+      _mm_storeu_ps(crow + 4, _mm_add_ps(hi[r], _mm_loadu_ps(bias + j0 + 4)));
+    } else {
+      // c += acc, keeping the original "c[j] += acc" operand order.
+      _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), lo[r]));
+      _mm_storeu_ps(crow + 4, _mm_add_ps(_mm_loadu_ps(crow + 4), hi[r]));
+    }
+  }
 }
 
 #if FEDPKD_GEMM_AVX
@@ -139,17 +133,46 @@ inline bool cpu_has_avx() {
   return has;
 }
 
+/// The k loop of gemm_tile_avx: lo/hi[r] = the sum over kk of A[r, kk] times
+/// the B row, skipping zero A elements when kSkipZeros.
+template <std::size_t kRows, bool kSkipZeros>
+__attribute__((target("avx"), always_inline)) inline void accumulate_avx(
+    const float* const (&pa)[kRows], std::size_t a_k_stride,
+    const float* b_strip, std::size_t b_stride, std::size_t k,
+    __m256 (&lo)[kRows], __m256 (&hi)[kRows]) {
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < kRows; ++r) lo[r] = hi[r] = _mm256_setzero_ps();
+  const float* brow = b_strip;
+  for (std::size_t kk = 0; kk < k; ++kk, brow += b_stride) {
+    // Pull the B rows a few iterations ahead into L1; with the packed strip
+    // this is one contiguous line per iteration, in-place it hides the
+    // stride-n walk. Prefetching past the strip is harmless.
+    _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * b_stride),
+                 _MM_HINT_T0);
+    const __m256 b0 = _mm256_loadu_ps(brow);
+    const __m256 b1 = _mm256_loadu_ps(brow + 8);
+    const std::size_t ka = kk * a_k_stride;
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < kRows; ++r) {
+      if (kSkipZeros && pa[r][ka] == 0.0f) continue;
+      const __m256 v = _mm256_broadcast_ss(pa[r] + ka);
+      lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(v, b0));
+      hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(v, b1));
+    }
+  }
+}
+
 /// AVX twin of gemm_tile_full: kRows x kNcAvx outputs, two 256-bit
 /// accumulators per row. kRows == kMr is the full tile; kRows 1..kMr-1 serve
 /// the row tail of a range, so a partial row tile stays on vector code. Only
 /// A rows [i0, i0 + kRows) are ever read. The row loops are unrolled
 /// completely, which is what lets the accumulator arrays live in registers
-/// (at kMr: 12 accumulators + 2 B vectors + the broadcast, as in the SSE
-/// tile); without the pragmas GCC 12 keeps them on the stack. Spelled out
-/// without helpers so the target attribute applies to every intrinsic.
-/// `store` is a runtime parameter (one branch per tile, after the k loop)
-/// instead of a template one so each row count is a single symbol carrying
-/// the attribute. `b_strip` points at the tile's first B row
+/// (at kMr: 12 accumulators + 2 B vectors + the broadcast + one product, as
+/// in the SSE tile); without the pragmas GCC 12 keeps them on the stack.
+/// Spelled out without lambdas so the target attribute applies to every
+/// intrinsic. `store` is a runtime parameter (one branch per tile, after the
+/// k loop) instead of a template one so each row count is a single symbol
+/// carrying the attribute. `b_strip` points at the tile's first B row
 /// (column j0 already applied) and advances by `b_stride` per kk — n for
 /// in-place B, kNcAvx for a packed strip. The packed layout holds identical
 /// values in the identical kk order, so both strides produce bitwise-identical
@@ -163,29 +186,16 @@ __attribute__((target("avx"))) void gemm_tile_avx(
   __m256 lo[kRows], hi[kRows];
   const float* pa[kRows];
 #pragma GCC unroll 8
-  for (std::size_t r = 0; r < kRows; ++r) {
-    lo[r] = _mm256_setzero_ps();
-    hi[r] = _mm256_setzero_ps();
-    pa[r] = a + (i0 + r) * a_row_stride;
-  }
-  const float* brow = b_strip;
-  for (std::size_t kk = 0; kk < k; ++kk, brow += b_stride) {
-    // Pull the B rows a few iterations ahead into L1; with the packed strip
-    // this is one contiguous line per iteration, in-place it hides the
-    // stride-n walk. Prefetching past the strip is harmless.
-    _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * b_stride),
-                 _MM_HINT_T0);
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    const std::size_t ka = kk * a_k_stride;
+  for (std::size_t r = 0; r < kRows; ++r) pa[r] = a + (i0 + r) * a_row_stride;
+  accumulate_avx<kRows, false>(pa, a_k_stride, b_strip, b_stride, k, lo, hi);
+  __m256 sum = _mm256_setzero_ps();
 #pragma GCC unroll 8
-    for (std::size_t r = 0; r < kRows; ++r) {
-      if (!is_float_zero(pa[r] + ka)) {
-        const __m256 v = _mm256_broadcast_ss(pa[r] + ka);
-        lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(v, b0));
-        hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(v, b1));
-      }
-    }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    sum = _mm256_add_ps(sum, _mm256_add_ps(lo[r], hi[r]));
+  }
+  if (!all_finite(_mm_add_ps(_mm256_castps256_ps128(sum),
+                             _mm256_extractf128_ps(sum, 1)))) {
+    accumulate_avx<kRows, true>(pa, a_k_stride, b_strip, b_stride, k, lo, hi);
   }
 #pragma GCC unroll 8
   for (std::size_t r = 0; r < kRows; ++r) {
@@ -225,14 +235,22 @@ inline void gemm_tile_edge(const float* a, std::size_t a_row_stride,
                            std::size_t n, std::size_t i0, std::size_t mr,
                            std::size_t j0, std::size_t nc) {
   float acc[kMr][kNcAvx] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * n + j0;
-    for (std::size_t i = 0; i < mr; ++i) {
-      const float av = a[(i0 + i) * a_row_stride + kk * a_k_stride];
-      if (av == 0.0f) continue;
-      float* ai = acc[i];
-      for (std::size_t j = 0; j < nc; ++j) ai[j] += av * brow[j];
+  for (const bool skip_zeros : {false, true}) {
+    for (std::size_t i = 0; i < mr; ++i) std::fill_n(acc[i], nc, 0.0f);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float* brow = b + kk * n + j0;
+      for (std::size_t i = 0; i < mr; ++i) {
+        const float av = a[(i0 + i) * a_row_stride + kk * a_k_stride];
+        if (skip_zeros && av == 0.0f) continue;
+        float* ai = acc[i];
+        for (std::size_t j = 0; j < nc; ++j) ai[j] += av * brow[j];
+      }
     }
+    float sum = 0.0f;
+    for (std::size_t i = 0; i < mr; ++i) {
+      for (std::size_t j = 0; j < nc; ++j) sum += acc[i][j];
+    }
+    if (sum - sum == 0.0f) break;
   }
   store_tile<kStore>(acc, bias, c, n, i0, mr, j0, nc);
 }

@@ -206,6 +206,86 @@ TEST(BlockedKernels, RowTailsMatchNaiveBitwise) {
   }
 }
 
+TEST(BlockedKernels, ReluSparseAAgainstNonFiniteBMatchesNaiveBitwise) {
+  // The tiles multiply every A element, zeros included, and rerun a tile with
+  // the zero skip only when its sums come out non-finite. A is ReLU-sparse
+  // (about half exact zeros, every other one -0); B has an inf, -inf or NaN
+  // in a few columns, each met by a zero A element in row 0 and a non-zero
+  // one in row 1. The shapes cover packed AVX strips (k >= 64, two full row
+  // tiles and a row tail), in-place AVX tiles and row tails, SSE tiles (the
+  // 8..15 columns after the AVX strips) and scalar edge tiles (the last < 8
+  // columns, and partial rows past the AVX strips).
+  const std::vector<GemmShape> shapes = {
+      {17, 96, 45}, {5, 20, 45}, {8, 70, 24}, {13, 64, 13}, {32, 96, 96}};
+  const float kNonFinite[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+  const auto relu_values = [](std::size_t count, std::uint64_t seed) {
+    auto values = random_values(count, seed, false);
+    bool negative_zero = false;
+    for (float& v : values) {
+      if (v > 0.0f) continue;
+      v = negative_zero ? -0.0f : 0.0f;
+      negative_zero = !negative_zero;
+    }
+    return values;
+  };
+  for (const bool non_finite : {false, true}) {
+    for (const GemmShape& s : shapes) {
+      const std::string where = "m=" + std::to_string(s.m) +
+                                " k=" + std::to_string(s.k) +
+                                " n=" + std::to_string(s.n) +
+                                " non_finite=" + std::to_string(non_finite);
+      auto a = relu_values(s.m * s.k, 211 + s.m);   // [m, k]
+      auto at = relu_values(s.k * s.m, 223 + s.m);  // A^T, [k, m]
+      auto b = random_values(s.k * s.n, 227 + s.n, false);
+      const auto bias = random_values(s.n, 229, false);
+      if (non_finite) {
+        std::size_t next = 0;
+        for (const std::size_t j : {3u, 12u, 20u, 35u, 42u, 90u}) {
+          if (j >= s.n) continue;
+          const std::size_t kk = (7 * j) % s.k;
+          b[kk * s.n + j] = kNonFinite[next++ % 3];
+          a[0 * s.k + kk] = 0.0f;
+          a[1 * s.k + kk] = 1.5f;
+          at[kk * s.m + 0] = -0.0f;
+          at[kk * s.m + 1] = -1.5f;
+        }
+      }
+
+      std::vector<float> naive(s.m * s.n);
+      kernels::matmul_rows_naive(a.data(), b.data(), naive.data(), s.k, s.n, 0,
+                                 s.m);
+      std::vector<float> out(s.m * s.n, -1.0f);
+      kernels::matmul_rows(a.data(), b.data(), out.data(), s.k, s.n, 0, s.m);
+      EXPECT_TRUE(bitwise_equal(out, naive)) << "matmul " << where;
+
+      kernels::matmul_bias_rows(a.data(), b.data(), bias.data(), out.data(),
+                                s.k, s.n, 0, s.m);
+      std::vector<float> with_bias = naive;
+      for (std::size_t i = 0; i < s.m * s.n; ++i) with_bias[i] += bias[i % s.n];
+      EXPECT_TRUE(bitwise_equal(out, with_bias)) << "bias " << where;
+
+      std::vector<float> product(s.m * s.n);
+      kernels::matmul_ta_rows_naive(at.data(), b.data(), product.data(), s.k,
+                                    s.m, s.n, 0, s.m);
+      const auto initial = random_values(s.m * s.n, 233, false);
+      std::vector<float> acc = initial;
+      kernels::matmul_ta_acc_rows(at.data(), b.data(), acc.data(), s.k, s.m,
+                                  s.n, 0, s.m);
+      std::vector<float> expected = initial;
+      for (std::size_t i = 0; i < s.m * s.n; ++i) expected[i] += product[i];
+      EXPECT_TRUE(bitwise_equal(acc, expected)) << "ta_acc " << where;
+
+      if (non_finite && s.n > 3) {
+        // Row 0 skips the non-finite B element of column 3; row 1 meets it.
+        EXPECT_TRUE(std::isfinite(naive[0 * s.n + 3])) << where;
+        EXPECT_FALSE(std::isfinite(naive[1 * s.n + 3])) << where;
+      }
+    }
+  }
+}
+
 TEST(BlockedKernels, ZeroRowInputProducesZeroOutput) {
   // A row of exact zeros must reduce to exact 0.0f in every variant (the
   // zero-skip path leaves the accumulator untouched).

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <cstring>
 #include <mutex>
 #include <span>
 #include <string>
@@ -16,7 +18,10 @@
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/client.hpp"
 #include "fedpkd/fl/trainer.hpp"
+#include "fedpkd/nn/activation.hpp"
+#include "fedpkd/nn/dropout.hpp"
 #include "fedpkd/nn/model_zoo.hpp"
+#include "fedpkd/nn/sequential.hpp"
 #include "fedpkd/tensor/ops.hpp"
 #include "fedpkd/tensor/tensor.hpp"
 #include "fedpkd/tensor/workspace.hpp"
@@ -316,6 +321,80 @@ TEST(CohortAllocations, MultiTilePublicSetIsBitwiseIdentical) {
           << archs[i] << ") at " << lanes << " lanes";
     }
   }
+  exec::set_num_threads(lanes_before);
+}
+
+// ------------------------------------------------- Lane-split inference ---
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Runs `fn` once on every lane of the global pool: each chunk waits at a
+/// barrier for all the others, so no thread can take two.
+template <typename Fn>
+void on_every_lane(Fn&& fn) {
+  const std::size_t lanes = exec::num_threads();
+  std::barrier sync(static_cast<std::ptrdiff_t>(lanes));
+  exec::parallel_for(lanes, [&](std::size_t, std::size_t) {
+    sync.arrive_and_wait();
+    fn();
+  });
+}
+
+/// compute_logits and compute_features fork once per call: the rows are split
+/// across the lanes, and each lane runs the whole network over its share in
+/// 32-row tiles. On a ragged 600-row set (one lane: 18 tiles of 32 and one
+/// of 24; two: 300 rows each, ending in 12; four: 150 each, ending in 22) the
+/// result must equal one whole-set pass bitwise at every lane count. Once
+/// every lane's scratch is warm, a call allocates its output tensor and
+/// nothing else, whatever the lane count.
+TEST(InferenceLanes, LogitsAndFeaturesAreLaneInvariantAndAllocateOnlyTheOutput) {
+  Rng rng(47);
+  nn::Classifier model = nn::make_classifier("resmlp56", 32, 10, rng);
+  const Tensor x = Tensor::randn({600, 32}, rng);
+  Tensor whole_logits, whole_features;
+  model.logits_into(x, whole_logits);
+  model.features_into(x, whole_features);
+
+  const std::size_t lanes_before = exec::num_threads();
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    exec::set_num_threads(lanes);
+    on_every_lane([&] {
+      (void)fl::compute_logits(model, x);
+      (void)fl::compute_features(model, x);
+    });
+    const auto before = Tensor::allocation_count();
+    const Tensor logits = fl::compute_logits(model, x);
+    const Tensor features = fl::compute_features(model, x);
+    EXPECT_EQ(Tensor::allocation_count() - before, 2u) << lanes << " lanes";
+    EXPECT_TRUE(bitwise_equal(logits, whole_logits)) << lanes << " lanes";
+    EXPECT_TRUE(bitwise_equal(features, whole_features)) << lanes << " lanes";
+  }
+  exec::set_num_threads(lanes_before);
+}
+
+/// Inference writes no module state, so lanes may share one model. Dropout
+/// once reshaped its step buffers in every inference pass, a data race once
+/// the lanes run the same layer; now it is a pure copy.
+TEST(InferenceLanes, DropoutModelInfersOnSharedLanes) {
+  Rng rng(53);
+  auto body = std::make_unique<nn::Sequential>();
+  body->add(std::make_unique<nn::Linear>(8, 16, rng, "fc"));
+  body->add(std::make_unique<nn::Relu>());
+  body->add(std::make_unique<nn::Dropout>(0.5f, Rng(54)));
+  nn::Classifier model("dropout-mlp", std::move(body),
+                       std::make_unique<nn::Linear>(16, 4, rng, "head"), 8);
+  // 2400 rows: enough that the cost grain of this small model splits them
+  // across all four lanes.
+  const Tensor x = Tensor::randn({2400, 8}, rng);
+  Tensor whole;
+  model.logits_into(x, whole);
+
+  const std::size_t lanes_before = exec::num_threads();
+  exec::set_num_threads(4);
+  EXPECT_TRUE(bitwise_equal(fl::compute_logits(model, x, 16), whole));
   exec::set_num_threads(lanes_before);
 }
 
