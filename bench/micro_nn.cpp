@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "fedpkd/exec/thread_pool.hpp"
@@ -33,24 +34,23 @@ void BM_ForwardBatch32(benchmark::State& state) {
 BENCHMARK(BM_ForwardBatch32)->DenseRange(0, 3);
 
 /// One shared training step (nn::TrainStep, the step every training loop
-/// runs) at batch 32. Args: arch (0 = resmlp20, 1 = resmlp56), lanes. The
-/// steps cycle through kBatches distinct inputs, as a training loop does:
-/// on one fixed batch the ReLU zero patterns repeat and the branch predictor
-/// learns them.
-void BM_TrainStepBatch32(benchmark::State& state) {
+/// runs) of `arch` at the given batch size and lane count. The steps cycle
+/// through kBatches distinct inputs, as a training loop does: on one fixed
+/// batch the ReLU zero patterns repeat and the branch predictor learns them.
+void train_step(benchmark::State& state, const std::string& arch,
+                std::size_t batch, std::size_t lanes) {
   constexpr std::size_t kBatches = 16;
-  const std::string arch = state.range(0) == 0 ? "resmlp20" : "resmlp56";
-  exec::set_num_threads(static_cast<std::size_t>(state.range(1)));
+  exec::set_num_threads(lanes);
   Rng rng(2);
   nn::Classifier model = nn::make_classifier(arch, 32, 10, rng);
   nn::Adam adam(model.parameters());
   nn::TrainStep step(model, adam);
   std::vector<Tensor> xs;
   for (std::size_t i = 0; i < kBatches; ++i) {
-    xs.push_back(Tensor::randn({32, 32}, rng));
+    xs.push_back(Tensor::randn({batch, 32}, rng));
   }
-  std::vector<int> y(32);
-  for (std::size_t i = 0; i < 32; ++i) y[i] = static_cast<int>(i % 10);
+  std::vector<int> y(batch);
+  for (std::size_t i = 0; i < batch; ++i) y[i] = static_cast<int>(i % 10);
   const auto cross_entropy = [&](const Tensor& logits, const Tensor&) {
     nn::LossResult ce = nn::softmax_cross_entropy(logits, y);
     return nn::StepLoss{ce.value, std::move(ce.grad)};
@@ -62,14 +62,28 @@ void BM_TrainStepBatch32(benchmark::State& state) {
     benchmark::DoNotOptimize(step.run(xs[i], cross_entropy));
     i = (i + 1) % kBatches;
   }
-  state.SetLabel(arch + ",batch=32,lanes=" +
-                 std::to_string(exec::num_threads()));
+  state.SetLabel(arch + ",batch=" + std::to_string(batch) +
+                 ",lanes=" + std::to_string(exec::num_threads()));
   state.counters["allocs_per_iter"] =
       static_cast<double>(Tensor::allocation_count() - allocs_before) /
       static_cast<double>(state.iterations());
   exec::set_num_threads(1);
 }
+
+/// Args: arch (0 = resmlp20, 1 = resmlp56), lanes.
+void BM_TrainStepBatch32(benchmark::State& state) {
+  train_step(state, state.range(0) == 0 ? "resmlp20" : "resmlp56", 32,
+             static_cast<std::size_t>(state.range(1)));
+}
 BENCHMARK(BM_TrainStepBatch32)->ArgsProduct({{0, 1}, {1, 4}});
+
+/// The server model's step at the other batch sizes (batch 32 is above).
+/// Args: batch, lanes.
+void BM_TrainStepResMlp56(benchmark::State& state) {
+  train_step(state, "resmlp56", static_cast<std::size_t>(state.range(0)),
+             static_cast<std::size_t>(state.range(1)));
+}
+BENCHMARK(BM_TrainStepResMlp56)->ArgsProduct({{8, 128}, {1, 4}});
 
 void BM_FeatureExtraction(benchmark::State& state) {
   Rng rng(3);

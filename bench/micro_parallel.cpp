@@ -72,8 +72,9 @@ std::size_t effective_threads(std::size_t requested) {
 }
 
 /// Runs `rounds` rounds of `algorithm` on a fresh 8-client federation with
-/// the given lane count and returns elapsed seconds. Rebuilding per
-/// measurement keeps every run's work identical (same seed, same schedule).
+/// the given lane count and returns elapsed seconds; the pool stays at that
+/// lane count. Rebuilding per measurement keeps every run's work identical
+/// (same seed, same schedule).
 Timing time_run(const std::string& algorithm,
                 const data::FederatedDataBundle& bundle, std::size_t threads,
                 std::size_t rounds,
@@ -111,7 +112,6 @@ Timing time_run(const std::string& algorithm,
   const auto start = Clock::now();
   fl::run_federation(*algo, *fed, run);
   const auto stop = Clock::now();
-  exec::set_num_threads(1);
   Timing timing{
       threads, std::chrono::duration<double>(stop - start).count(),
       static_cast<double>(tensor::Tensor::allocation_count() - allocs_before),
@@ -136,6 +136,9 @@ void report(const std::string& algorithm,
     timings.push_back(min_of_n(
         [&] { return time_run(algorithm, bundle, threads, rounds); }));
   }
+  // The pool (and its workers' warm per-thread scratch) lives across the
+  // warm-up and measured runs of a lane count; reset it once, after the sweep.
+  exec::set_num_threads(1);
   const double serial = timings.front().seconds;
   for (const Timing& t : timings) {
     std::printf("  %-8zu %10.3f %8.2fx %12.0f\n", t.threads, t.seconds,
@@ -199,6 +202,7 @@ void report_faults(const std::string& algorithm,
   plan.stragglers = {{1, 3.0}, {2, 5.0}};
 
   const Timing t = time_run(algorithm, bundle, 4, rounds, &plan);
+  exec::set_num_threads(1);
   const fl::RoundFaultStats& f = t.faults;
   std::printf(
       "%s under faults (drop=0.2 corrupt=0.05), %zu round(s): "

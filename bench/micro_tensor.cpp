@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "fedpkd/nn/activation.hpp"
 #include "fedpkd/tensor/kernels.hpp"
 #include "fedpkd/tensor/ops.hpp"
 #include "fedpkd/tensor/rng.hpp"
@@ -130,6 +131,55 @@ void BM_Transpose(benchmark::State& state) {
   state.SetLabel("512x300");
 }
 BENCHMARK(BM_Transpose);
+
+/// Relu::backward_rows on 32x96 rows (a resmlp56 batch-32 hidden layer),
+/// cycling through kPatterns modules forwarded on fresh inputs, so the sign
+/// pattern changes every call as it does in training.
+void BM_ReluBackward(benchmark::State& state) {
+  constexpr std::size_t kPatterns = 64, m = 32, n = 96;
+  Rng rng(12);
+  std::vector<fedpkd::nn::Relu> relus(kPatterns);
+  for (fedpkd::nn::Relu& relu : relus) {
+    relu.forward(Tensor::randn({m, n}, rng), /*train=*/true);
+  }
+  const Tensor gy = Tensor::randn({m, n}, rng);
+  const auto allocs_before = Tensor::allocation_count();
+  std::size_t p = 0;
+  for (auto _ : state) {
+    relus[p].backward_rows(gy, 0, m);
+    benchmark::DoNotOptimize(relus[p].input_grad().data());
+    benchmark::ClobberMemory();
+    p = (p + 1) % kPatterns;
+  }
+  state.SetLabel("32x96,patterns=64");
+  state.counters["allocs_per_iter"] =
+      static_cast<double>(Tensor::allocation_count() - allocs_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ReluBackward);
+
+/// The W^T slice of Linear::forward_rows on a 96x96 weight: the whole
+/// transpose (arg 0, one lane) and one lane's quarter of it at 4 lanes
+/// (arg 1, rows [24, 48)).
+void BM_TransposeRows(benchmark::State& state) {
+  constexpr std::size_t n = 96;
+  const bool quarter = state.range(0) == 1;
+  const std::size_t r0 = quarter ? n / 4 : 0, r1 = quarter ? n / 2 : n;
+  Rng rng(13);
+  const Tensor a = Tensor::randn({n, n}, rng);
+  Tensor out({n, n});
+  const auto allocs_before = Tensor::allocation_count();
+  for (auto _ : state) {
+    kernels::transpose_blocked_rows(a.data(), out.data(), n, n, r0, r1);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(quarter ? "96x96,rows=24..48" : "96x96");
+  state.counters["allocs_per_iter"] =
+      static_cast<double>(Tensor::allocation_count() - allocs_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_TransposeRows)->Arg(0)->Arg(1);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(3);

@@ -30,9 +30,15 @@ void Relu::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
 }
 
 void Relu::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
+  // Load gy unconditionally, then select (DESIGN.md §8): the loop becomes a
+  // vector compare and mask instead of a branch on every element's sign.
   const std::size_t n = y_.cols();
+  const float* py = y_.data();
+  const float* pg = gy.data();
+  float* pgx = gx_.data();
   for (std::size_t i = r0 * n; i < r1 * n; ++i) {
-    gx_[i] = y_[i] > 0.0f ? gy[i] : 0.0f;
+    const float g = pg[i];
+    pgx[i] = py[i] > 0.0f ? g : 0.0f;
   }
 }
 

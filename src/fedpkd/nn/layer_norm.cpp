@@ -25,8 +25,10 @@ void LayerNorm::normalize_rows(const Tensor& x, float* y, float* xhat,
                                float* inv_std, std::size_t r0,
                                std::size_t r1) const {
   const std::size_t n = features_;
-  // Double-precision row statistics, float normalization; x-hat lives only in
-  // a register unless the training pass asks for it.
+  const float* gamma = gamma_.value.data();
+  const float* beta = beta_.value.data();
+  // Double-precision row statistics, float normalization; the training pass
+  // also keeps x-hat (recomputed by the same float ops) and 1/std.
   for (std::size_t r = r0; r < r1; ++r) {
     const float* px = x.data() + r * n;
     double mu = 0.0;
@@ -39,14 +41,15 @@ void LayerNorm::normalize_rows(const Tensor& x, float* y, float* xhat,
     }
     var /= static_cast<double>(n);
     const float is = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    if (inv_std != nullptr) inv_std[r] = is;
-    float* ph = xhat != nullptr ? xhat + r * n : nullptr;
+    const float mu_f = static_cast<float>(mu);
     float* py = y + r * n;
     for (std::size_t c = 0; c < n; ++c) {
-      const float h = (px[c] - static_cast<float>(mu)) * is;
-      if (ph != nullptr) ph[c] = h;
-      py[c] = gamma_.value[c] * h + beta_.value[c];
+      py[c] = gamma[c] * ((px[c] - mu_f) * is) + beta[c];
     }
+    if (xhat == nullptr) continue;
+    inv_std[r] = is;
+    float* ph = xhat + r * n;
+    for (std::size_t c = 0; c < n; ++c) ph[c] = (px[c] - mu_f) * is;
   }
 }
 
@@ -80,6 +83,7 @@ void LayerNorm::backward_rows(const Tensor& gy, std::size_t r0,
                               std::size_t r1) {
   if (r0 == 0) gy_ = &gy;
   const std::size_t n = features_;
+  const float* gamma = gamma_.value.data();
   for (std::size_t r = r0; r < r1; ++r) {
     const float* g = gy.data() + r * n;
     const float* xh = xhat_.data() + r * n;
@@ -88,14 +92,14 @@ void LayerNorm::backward_rows(const Tensor& gy, std::size_t r0,
     double sum_dxhat = 0.0;
     double sum_dxhat_xhat = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
-      const double dxh = static_cast<double>(g[c]) * gamma_.value[c];
+      const double dxh = static_cast<double>(g[c]) * gamma[c];
       sum_dxhat += dxh;
       sum_dxhat_xhat += dxh * xh[c];
     }
     const double inv_n = 1.0 / static_cast<double>(n);
     const double is = inv_std_[r];
     for (std::size_t c = 0; c < n; ++c) {
-      const double dxh = static_cast<double>(g[c]) * gamma_.value[c];
+      const double dxh = static_cast<double>(g[c]) * gamma[c];
       pgx[c] = static_cast<float>(
           is * (dxh - inv_n * sum_dxhat - inv_n * xh[c] * sum_dxhat_xhat));
     }
@@ -115,11 +119,14 @@ void LayerNorm::accumulate_grad(Parameter& p) {
   // Each column accumulates its rows in ascending order.
   const bool is_gamma = &p == &gamma_;
   const std::size_t n = features_;
+  float* grad = p.grad.data();
   for (std::size_t r = 0; r < gy_->rows(); ++r) {
     const float* g = gy_->data() + r * n;
     const float* xh = xhat_.data() + r * n;
-    for (std::size_t c = 0; c < n; ++c) {
-      p.grad[c] += is_gamma ? g[c] * xh[c] : g[c];
+    if (is_gamma) {
+      for (std::size_t c = 0; c < n; ++c) grad[c] += g[c] * xh[c];
+    } else {
+      for (std::size_t c = 0; c < n; ++c) grad[c] += g[c];
     }
   }
 }

@@ -32,7 +32,7 @@ class LayerNorm final : public Module {
   LayerNorm(std::size_t features, float eps, Parameter gamma, Parameter beta);
 
   /// Normalizes rows [r0, r1) of x into y; also stores x-hat and 1/std when
-  /// xhat / inv_std are non-null (the training pass).
+  /// xhat is non-null (the training pass, which passes both).
   void normalize_rows(const Tensor& x, float* y, float* xhat, float* inv_std,
                       std::size_t r0, std::size_t r1) const;
 

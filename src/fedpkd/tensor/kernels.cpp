@@ -477,18 +477,38 @@ void transpose_blocked_rows(const float* a, float* out, std::size_t m,
                             std::size_t n, std::size_t row_begin,
                             std::size_t row_end) {
   // 32x32 tiles: reads and writes both stay within a handful of cache lines
-  // per tile instead of the column-scatter of the naive loop. Pure
-  // permutation, so tiling cannot change any value.
+  // per tile instead of the column-scatter of the naive loop. Inside a tile,
+  // 4x4 register blocks move four rows with four vector loads, one shuffle
+  // network and four vector stores; the tile's ragged edges go scalar. Loads,
+  // shuffles and stores only move bits, so no value can change (DESIGN.md §8).
   constexpr std::size_t kTile = 32;
+  const auto scalar = [&](std::size_t ib, std::size_t ie, std::size_t jb,
+                          std::size_t je) {
+    for (std::size_t i = ib; i < ie; ++i) {
+      for (std::size_t j = jb; j < je; ++j) out[j * m + i] = a[i * n + j];
+    }
+  };
   for (std::size_t i0 = row_begin; i0 < row_end; i0 += kTile) {
     const std::size_t i1 = std::min(row_end, i0 + kTile);
     for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
       const std::size_t j1 = std::min(n, j0 + kTile);
-      for (std::size_t i = i0; i < i1; ++i) {
-        for (std::size_t j = j0; j < j1; ++j) {
-          out[j * m + i] = a[i * n + j];
+      std::size_t i = i0;
+      for (; i + 4 <= i1; i += 4) {
+        std::size_t j = j0;
+        for (; j + 4 <= j1; j += 4) {
+          const float* pa = a + i * n + j;
+          __m128 r0 = _mm_loadu_ps(pa), r1 = _mm_loadu_ps(pa + n);
+          __m128 r2 = _mm_loadu_ps(pa + 2 * n), r3 = _mm_loadu_ps(pa + 3 * n);
+          _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+          float* po = out + j * m + i;
+          _mm_storeu_ps(po, r0);
+          _mm_storeu_ps(po + m, r1);
+          _mm_storeu_ps(po + 2 * m, r2);
+          _mm_storeu_ps(po + 3 * m, r3);
         }
+        scalar(i, i + 4, j, j1);
       }
+      scalar(i, i1, j0, j1);
     }
   }
 }

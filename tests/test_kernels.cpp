@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -365,6 +367,56 @@ TEST(BlockedKernels, TransposeMatchesNaive) {
     kernels::transpose_blocked(a.data(), blocked.data(), m, n);
     kernels::transpose_naive(a.data(), naive.data(), m, n);
     EXPECT_TRUE(bitwise_equal(blocked, naive)) << "m=" << m << " n=" << n;
+  }
+}
+
+TEST(BlockedKernels, TransposeRowRangesMatchNaive) {
+  // Linear::forward_rows transposes W's rows [r0*in/m, r1*in/m) for each
+  // batch range [r0, r1) of a step; the ranges split m rows across the lanes
+  // as exec::parallel_for does (the first m % lanes chunks one row longer).
+  // Each range alone must write exactly its columns of W^T, bitwise equal to
+  // the naive transpose (NaN payloads, -0 and inf included), and leave every
+  // other cell as it was.
+  const std::uint32_t sentinel_bits = 0x7fc0dead;
+  float sentinel;
+  std::memcpy(&sentinel, &sentinel_bits, sizeof sentinel);
+  for (auto [in, out] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {3, 100}, {33, 31}, {65, 129}, {96, 96}}) {
+    auto w = random_values(in * out, 117 + in + out, false);
+    const std::uint32_t payload = 0x7fa00001;
+    std::memcpy(&w[1], &payload, sizeof payload);
+    w[in * out / 2] = -0.0f;
+    w.back() = -std::numeric_limits<float>::infinity();
+    std::vector<float> naive(in * out);
+    kernels::transpose_naive(w.data(), naive.data(), in, out);
+    for (std::size_t m : {1, 5, 13, 32}) {
+      for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
+        const std::size_t chunks = std::min(lanes, m);
+        std::vector<float> whole(in * out, sentinel);
+        std::size_t r0 = 0;
+        for (std::size_t c = 0; c < chunks; ++c) {
+          const std::size_t r1 = r0 + m / chunks + (c < m % chunks ? 1 : 0);
+          const std::size_t lo = r0 * in / m, hi = r1 * in / m;
+          std::vector<float> part(in * out, sentinel);
+          kernels::transpose_blocked_rows(w.data(), part.data(), in, out, lo,
+                                          hi);
+          kernels::transpose_blocked_rows(w.data(), whole.data(), in, out, lo,
+                                          hi);
+          std::vector<float> expected(in * out, sentinel);
+          for (std::size_t j = 0; j < out; ++j) {
+            for (std::size_t i = lo; i < hi; ++i) {
+              expected[j * in + i] = naive[j * in + i];
+            }
+          }
+          EXPECT_TRUE(bitwise_equal(part, expected))
+              << in << "x" << out << " m=" << m << " lanes=" << lanes
+              << " rows [" << lo << ", " << hi << ")";
+          r0 = r1;
+        }
+        EXPECT_TRUE(bitwise_equal(whole, naive))
+            << in << "x" << out << " m=" << m << " lanes=" << lanes;
+      }
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -102,6 +104,45 @@ TEST(Gradients, Relu) {
     if (std::abs(x[i]) < 0.05f) x[i] = 0.2f;
   }
   check_gradients(layer, x, 101);
+}
+
+TEST(Relu, BackwardSelectsExactly) {
+  // gx = y > 0 ? gy : +0, bit for bit, over the IEEE corner cases: only a
+  // strictly positive y (denormals and +inf included) passes gy through, NaN
+  // payloads and -0 of gy unchanged; y of +-0, a negative, -inf or NaN gives
+  // +0 whatever gy holds. ReLU's own forward never writes -0, -inf or NaN, so
+  // the test writes y directly into the step's output buffer.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  float payload_nan;
+  const std::uint32_t payload_bits = 0xffc01234;
+  std::memcpy(&payload_nan, &payload_bits, sizeof payload_nan);
+  const std::vector<float> ys = {0.0f,  -0.0f, denorm, -denorm, kInf,
+                                 -kInf, nan,   -nan,   1.5f,    -2.0f};
+  const std::vector<float> gys = {payload_nan, nan,   kInf,  -kInf,
+                                  -0.0f,       0.0f,  -3.0f, denorm};
+  const std::size_t n = ys.size(), m = gys.size();
+  Relu relu;
+  relu.forward(Tensor({m, n}), true);
+  Tensor& y = const_cast<Tensor&>(relu.output());
+  Tensor gy({m, n});
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      y.at(r, c) = ys[(r + c) % n];
+      gy.at(r, c) = gys[(r * n + c) % m];
+    }
+  }
+  const Tensor gx = relu.backward(gy);
+  for (std::size_t i = 0; i < m * n; ++i) {
+    const float expected = y[i] > 0.0f ? gy[i] : 0.0f;
+    EXPECT_EQ(std::memcmp(gx.data() + i, &expected, sizeof(float)), 0)
+        << "y=" << y[i] << " gy=" << gy[i] << " gx=" << gx[i];
+    if (!(y[i] > 0.0f)) {
+      EXPECT_EQ(gx[i], 0.0f) << "y=" << y[i];
+      EXPECT_FALSE(std::signbit(gx[i])) << "y=" << y[i];
+    }
+  }
 }
 
 TEST(Gradients, Tanh) {
@@ -212,6 +253,69 @@ TEST(LayerNorm, NormalizesRows) {
     EXPECT_NEAR(mu, 0.0, 1e-4);
     EXPECT_NEAR(var, 1.0, 1e-2);
   }
+}
+
+/// The pre-vectorization LayerNorm loops, kept as the bitwise reference:
+/// double row statistics, then h = (x - mu) * is and y = gamma * h + beta.
+void layer_norm_reference(const Tensor& x, const Tensor& gamma,
+                          const Tensor& beta, float eps, Tensor& y,
+                          Tensor& xhat) {
+  const std::size_t n = x.cols();
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    double mu = 0.0;
+    for (std::size_t c = 0; c < n; ++c) mu += x.at(r, c);
+    mu /= static_cast<double>(n);
+    double var = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      const double d = x.at(r, c) - mu;
+      var += d * d;
+    }
+    var /= static_cast<double>(n);
+    const float is = static_cast<float>(1.0 / std::sqrt(var + eps));
+    for (std::size_t c = 0; c < n; ++c) {
+      const float h = (x.at(r, c) - static_cast<float>(mu)) * is;
+      xhat.at(r, c) = h;
+      y.at(r, c) = gamma[c] * h + beta[c];
+    }
+  }
+}
+
+TEST(LayerNorm, TrainAndEvalForwardAgreeBitwise) {
+  // The training forward (which also keeps x-hat) and the inference forward
+  // must produce the same bits, and the gamma/beta gradient jobs must equal
+  // the old per-element `is_gamma ? g * xh : g` loop, rows in ascending order.
+  Rng rng(12);
+  const std::size_t m = 7, n = 37;
+  LayerNorm layer(n);
+  Parameter& gamma = *layer.parameters()[0];
+  Parameter& beta = *layer.parameters()[1];
+  gamma.value = Tensor::randn({n}, rng, 1.0f, 0.5f);
+  beta.value = Tensor::randn({n}, rng);
+  const Tensor x = Tensor::randn({m, n}, rng, 2.0f, 3.0f);
+  Tensor y_ref({m, n}), xhat({m, n});
+  layer_norm_reference(x, gamma.value, beta.value, 1e-5f, y_ref, xhat);
+  const Tensor train = layer.forward(x, true);
+  const Tensor eval = layer.forward(x, false);
+  ASSERT_EQ(std::memcmp(train.data(), y_ref.data(), m * n * sizeof(float)), 0);
+  ASSERT_EQ(std::memcmp(eval.data(), y_ref.data(), m * n * sizeof(float)), 0);
+
+  const Tensor g = Tensor::randn({m, n}, rng);
+  gamma.grad = Tensor::randn({n}, rng);
+  beta.grad = Tensor::randn({n}, rng);
+  Tensor gamma_ref = gamma.grad, beta_ref = beta.grad;
+  for (std::size_t r = 0; r < m; ++r) {
+    for (const bool is_gamma : {true, false}) {
+      Tensor& acc = is_gamma ? gamma_ref : beta_ref;
+      for (std::size_t c = 0; c < n; ++c) {
+        acc[c] += is_gamma ? g.at(r, c) * xhat.at(r, c) : g.at(r, c);
+      }
+    }
+  }
+  layer.backward(g);
+  EXPECT_EQ(std::memcmp(gamma.grad.data(), gamma_ref.data(), n * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(beta.grad.data(), beta_ref.data(), n * sizeof(float)),
+            0);
 }
 
 TEST(LayerNorm, RejectsBadConstruction) {
