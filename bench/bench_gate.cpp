@@ -230,10 +230,21 @@ std::string key_of(const std::string& op, const std::string& shape,
   return op + " | " + shape + " | " + metric;
 }
 
+/// Requested thread count parsed out of a shape string ("...,threads=N,...");
+/// 0 when the shape has no threads key.
+long long shape_threads(const std::string& shape) {
+  const std::size_t at = shape.find("threads=");
+  if (at == std::string::npos) return 0;
+  return std::atoll(shape.c_str() + at + 8);
+}
+
 /// Flattens bench records into measurements and derives the scaling ratios:
 /// for every op that was timed at threads=1 and threads=N (N > 1) with
 /// otherwise identical shape, a "ratio" measurement time(N)/time(1) is added
-/// under the threads=N shape.
+/// under the threads=N shape. N is the shape's requested count; the record's
+/// `threads` field (the effective count after the hardware clamp) only
+/// decides whether the run was parallel at all, so threads=8 clamped to 4
+/// lanes still finds its threads=1 partner.
 std::vector<Measurement> extract_measurements(
     const std::vector<JsonObject>& records) {
   std::vector<Measurement> out;
@@ -268,8 +279,8 @@ std::vector<Measurement> extract_measurements(
     const std::string op = string_field(r, "op");
     const std::string shape = string_field(r, "shape");
     // Rewrite "threads=N" to "threads=1" to find the serial partner.
-    const std::string needle = "threads=" + std::to_string(
-                                   static_cast<long long>(*threads));
+    const std::string needle =
+        "threads=" + std::to_string(shape_threads(shape));
     const std::size_t at = shape.find(needle);
     if (at == std::string::npos) continue;
     std::string serial_shape = shape;
@@ -296,16 +307,9 @@ bool gated_op(const std::string& op) {
          op.rfind("fault:", 0) == 0 || op.rfind("scale:", 0) == 0 ||
          op.rfind("async:", 0) == 0 || op.rfind("recovery:", 0) == 0 ||
          op.rfind("BM_MatmulReluSparse", 0) == 0 ||
+         op.rfind("BM_MatmulTransposeB/", 0) == 0 ||
          op.rfind("BM_ReluBackward", 0) == 0 ||
          op.rfind("BM_TransposeRows", 0) == 0;
-}
-
-/// Requested thread count parsed out of a shape string ("...,threads=N,...");
-/// 0 when the shape has no threads key.
-long long shape_threads(const std::string& shape) {
-  const std::size_t at = shape.find("threads=");
-  if (at == std::string::npos) return 0;
-  return std::atoll(shape.c_str() + at + 8);
 }
 
 std::vector<BaselineRecord> make_baseline(

@@ -122,6 +122,35 @@ void BM_MatmulTransposeB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulTransposeB)->Arg(64);
 
+/// dx = gy W^T of Linear::backward_rows at a resmlp56 hidden layer at batch
+/// 32: 32x96 times (96x96)^T, the whole batch (arg 0, one lane) and one
+/// lane's quarter of the rows at 4 lanes (arg 1, rows [8, 16)).
+void BM_MatmulTransposeBRows(benchmark::State& state) {
+  constexpr std::size_t m = 32, n = 96;
+  const bool quarter = state.range(0) == 1;
+  const std::size_t r0 = quarter ? m / 4 : 0, r1 = quarter ? m / 2 : m;
+  Rng rng(14);
+  const Tensor gy = Tensor::randn({m, n}, rng);
+  const Tensor w = Tensor::randn({n, n}, rng);
+  Tensor gx({m, n});
+  const auto allocs_before = Tensor::allocation_count();
+  for (auto _ : state) {
+    kernels::matmul_tb_rows(gy.data(), w.data(), gx.data(), n, n, r0, r1);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(quarter ? "32x96x96,rows=8..16" : "32x96x96");
+  state.counters["flops_per_iter"] =
+      2.0 * static_cast<double>((r1 - r0) * n * n);
+  state.counters["allocs_per_iter"] =
+      static_cast<double>(Tensor::allocation_count() - allocs_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_MatmulTransposeBRows)
+    ->Name("BM_MatmulTransposeB")
+    ->Arg(0)
+    ->Arg(1);
+
 void BM_Transpose(benchmark::State& state) {
   Rng rng(8);
   const Tensor a = Tensor::randn({512, 300}, rng);
@@ -158,9 +187,8 @@ void BM_ReluBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ReluBackward);
 
-/// The W^T slice of Linear::forward_rows on a 96x96 weight: the whole
-/// transpose (arg 0, one lane) and one lane's quarter of it at 4 lanes
-/// (arg 1, rows [24, 48)).
+/// The blocked transpose of a 96x96 weight: the whole transpose (arg 0, one
+/// lane) and one lane's quarter of it at 4 lanes (arg 1, rows [24, 48)).
 void BM_TransposeRows(benchmark::State& state) {
   constexpr std::size_t n = 96;
   const bool quarter = state.range(0) == 1;

@@ -179,7 +179,7 @@ void Conv2d::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
   const std::size_t channels = output_.channels;
   tensor::Workspace::Scope scope(tensor::Workspace::per_thread());
   // dx = gout W^T -> col2im, with W transposed once for all of this lane's
-  // samples (the route of ops::matmul_transpose_b_into).
+  // samples, not per sample as kernels::matmul_tb_rows would pack it.
   float* wt = scope.take(patch * channels).data();
   tensor::kernels::transpose_blocked(weight_.value.data(), wt, patch, channels);
   float* gpm = scope.take(positions * channels).data();

@@ -42,7 +42,6 @@ void Linear::prepare(std::size_t m, std::size_t in_cols) {
   }
   y_.ensure_shape({m, out_});
   gx_.ensure_shape({m, in_});
-  wt_.ensure_shape({out_, in_});
 }
 
 void Linear::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
@@ -50,25 +49,14 @@ void Linear::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
   tensor::kernels::matmul_bias_rows(x.data(), weight_.value.data(),
                                     bias_.value.data(), y_.data(), in_, out_,
                                     r0, r1);
-  // The backward phase needs W^T. The ranges of a phase partition [0, m), so
-  // W's rows [r0*in/m, r1*in/m) partition W: each range transposes its share.
-  const std::size_t m = y_.rows();
-  tensor::kernels::transpose_blocked_rows(weight_.value.data(), wt_.data(),
-                                          in_, out_, r0 * in_ / m,
-                                          r1 * in_ / m);
 }
 
 void Linear::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
   if (r0 == 0) gy_ = &gy;
-  // dx = gy W^T as matmul tiles over W^T, the route of
-  // ops::matmul_transpose_b_into.
-  tensor::kernels::matmul_rows(gy.data(), wt_.data(), gx_.data(), out_, in_,
-                               r0, r1);
-}
-
-void Linear::release_step_buffers() {
-  Module::release_step_buffers();
-  wt_ = Tensor();
+  // dx = gy W^T. Each lane packs its own W^T strips from W, which no one
+  // writes until the parameter phase.
+  tensor::kernels::matmul_tb_rows(gy.data(), weight_.value.data(), gx_.data(),
+                                  out_, in_, r0, r1);
 }
 
 void Linear::collect_grad_jobs(std::vector<GradJob>& out) {

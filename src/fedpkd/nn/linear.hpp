@@ -18,7 +18,6 @@ class Linear final : public Module {
   void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
   void backward_rows(const Tensor& gy, std::size_t r0,
                      std::size_t r1) override;
-  void release_step_buffers() override;
   void collect_grad_jobs(std::vector<GradJob>& out) override;
   void accumulate_grad(Parameter& p) override;
   std::unique_ptr<Module> clone() const override;
@@ -35,7 +34,6 @@ class Linear final : public Module {
   std::size_t out_;
   Parameter weight_;
   Parameter bias_;
-  Tensor wt_;                   // [out, in] W^T for the backward phase
   const Tensor* x_ = nullptr;   // the step's full-batch input
   const Tensor* gy_ = nullptr;  // the step's full-batch output gradient
 };

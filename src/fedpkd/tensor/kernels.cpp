@@ -72,15 +72,18 @@ inline void store_tile(const float (&acc)[kMr][kNcAvx], const float* bias,
 
 /// Full kMr x kNc SSE tile: every full row tile without AVX, and the 8..15
 /// columns left after the AVX strips with it. A is addressed through runtime
-/// strides so the same kernel serves A and A^T layouts. _mm_mul_ps and
+/// strides so the same kernel serves A and A^T layouts; `b_strip` points at
+/// the tile's first B column and advances by `b_stride` per kk, as in
+/// gemm_tile_avx, so B may be in place or a packed panel. _mm_mul_ps and
 /// _mm_add_ps are elementwise IEEE float ops, so each output element still
 /// sees exactly the naive kernel's mul-add sequence in ascending kk order,
 /// with the zero skip as argued above.
 template <Store kStore>
 inline void gemm_tile_full(const float* a, std::size_t a_row_stride,
-                           std::size_t a_k_stride, const float* b,
-                           const float* bias, float* c, std::size_t k,
-                           std::size_t n, std::size_t i0, std::size_t j0) {
+                           std::size_t a_k_stride, const float* b_strip,
+                           std::size_t b_stride, const float* bias, float* c,
+                           std::size_t k, std::size_t n, std::size_t i0,
+                           std::size_t j0) {
   __m128 lo[kMr], hi[kMr];
   const float* pa[kMr];
 #pragma GCC unroll 8
@@ -88,8 +91,8 @@ inline void gemm_tile_full(const float* a, std::size_t a_row_stride,
   const auto accumulate = [&](auto skip_zeros) {
 #pragma GCC unroll 8
     for (std::size_t r = 0; r < kMr; ++r) lo[r] = hi[r] = _mm_setzero_ps();
-    const float* brow = b + j0;
-    for (std::size_t kk = 0; kk < k; ++kk, brow += n) {
+    const float* brow = b_strip;
+    for (std::size_t kk = 0; kk < k; ++kk, brow += b_stride) {
       const __m128 b0 = _mm_loadu_ps(brow);
       const __m128 b1 = _mm_loadu_ps(brow + 4);
       const std::size_t ka = kk * a_k_stride;
@@ -227,18 +230,19 @@ constexpr AvxTile kAvxTiles[kMr + 1] = {
 
 #endif  // FEDPKD_GEMM_AVX
 
-/// Edge tile with runtime bounds (last partial row/column tile).
+/// Edge tile with runtime bounds (last partial row/column tile); B is
+/// addressed like gemm_tile_full's.
 template <Store kStore>
 inline void gemm_tile_edge(const float* a, std::size_t a_row_stride,
-                           std::size_t a_k_stride, const float* b,
-                           const float* bias, float* c, std::size_t k,
-                           std::size_t n, std::size_t i0, std::size_t mr,
-                           std::size_t j0, std::size_t nc) {
+                           std::size_t a_k_stride, const float* b_strip,
+                           std::size_t b_stride, const float* bias, float* c,
+                           std::size_t k, std::size_t n, std::size_t i0,
+                           std::size_t mr, std::size_t j0, std::size_t nc) {
   float acc[kMr][kNcAvx] = {};
   for (const bool skip_zeros : {false, true}) {
     for (std::size_t i = 0; i < mr; ++i) std::fill_n(acc[i], nc, 0.0f);
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* brow = b + kk * n + j0;
+      const float* brow = b_strip + kk * b_stride;
       for (std::size_t i = 0; i < mr; ++i) {
         const float av = a[(i0 + i) * a_row_stride + kk * a_k_stride];
         if (skip_zeros && av == 0.0f) continue;
@@ -277,27 +281,29 @@ constexpr std::size_t kPackMinK = 64;
 
 #endif  // FEDPKD_GEMM_AVX
 
-/// Columns [j0, n) of the row tile at i0 once the AVX strips are done: SSE
-/// tiles while a full kMr x kNc tile fits, scalar edge tiles for the rest
-/// (partial rows without AVX, and the last < kNc columns).
+/// Columns [j_begin, j_end) of the row tile at i0 once the AVX strips are
+/// done: SSE tiles while a full kMr x kNc tile fits, scalar edge tiles for
+/// the rest (partial rows without AVX, and the last < kNc columns). `b`
+/// points at B's column j_begin and advances by `b_stride` per kk.
 template <Store kStore>
 void gemm_tile_columns(const float* a, std::size_t a_row_stride,
                        std::size_t a_k_stride, const float* b,
-                       const float* bias, float* c, std::size_t k,
-                       std::size_t n, std::size_t i0, std::size_t mr,
-                       std::size_t j0) {
-  for (; j0 + kNc <= n; j0 += kNc) {
+                       std::size_t b_stride, const float* bias, float* c,
+                       std::size_t k, std::size_t n, std::size_t i0,
+                       std::size_t mr, std::size_t j_begin, std::size_t j_end) {
+  std::size_t j0 = j_begin;
+  for (; j0 + kNc <= j_end; j0 += kNc) {
     if (mr == kMr) {
-      gemm_tile_full<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
-                             j0);
+      gemm_tile_full<kStore>(a, a_row_stride, a_k_stride, b + (j0 - j_begin),
+                             b_stride, bias, c, k, n, i0, j0);
     } else {
-      gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
-                             mr, j0, kNc);
+      gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b + (j0 - j_begin),
+                             b_stride, bias, c, k, n, i0, mr, j0, kNc);
     }
   }
-  if (j0 < n) {
-    gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
-                           mr, j0, n - j0);
+  if (j0 < j_end) {
+    gemm_tile_edge<kStore>(a, a_row_stride, a_k_stride, b + (j0 - j_begin),
+                           b_stride, bias, c, k, n, i0, mr, j0, j_end - j0);
   }
 }
 
@@ -327,8 +333,9 @@ void gemm_rows(const float* a, std::size_t a_row_stride,
       }
     }
     for (std::size_t i0 = row_begin; i0 < row_end; i0 += kMr) {
-      gemm_tile_columns<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n,
-                                i0, std::min(kMr, row_end - i0), avx_cols);
+      gemm_tile_columns<kStore>(a, a_row_stride, a_k_stride, b + avx_cols, n,
+                                bias, c, k, n, i0, std::min(kMr, row_end - i0),
+                                avx_cols, n);
     }
     return;
   }
@@ -341,8 +348,8 @@ void gemm_rows(const float* a, std::size_t a_row_stride,
                     j0, kStore);
     }
 #endif
-    gemm_tile_columns<kStore>(a, a_row_stride, a_k_stride, b, bias, c, k, n, i0,
-                              mr, avx_cols);
+    gemm_tile_columns<kStore>(a, a_row_stride, a_k_stride, b + avx_cols, n,
+                              bias, c, k, n, i0, mr, avx_cols, n);
   }
 }
 
@@ -372,6 +379,36 @@ void matmul_ta_acc_rows(const float* a, const float* b, float* c,
                         std::size_t row_begin, std::size_t row_end) {
   gemm_rows<Store::kAccumulate>(a, 1, m, b, nullptr, c, k, n, row_begin,
                                 row_end);
+}
+
+void matmul_tb_rows(const float* a, const float* b, float* c, std::size_t k,
+                    std::size_t n, std::size_t row_begin, std::size_t row_end) {
+  std::size_t avx_cols = 0;  // columns [0, avx_cols) go through AVX tiles
+#if FEDPKD_GEMM_AVX
+  if (cpu_has_avx()) avx_cols = n / kNcAvx * kNcAvx;
+#endif
+  // C's columns [j0, j0 + 16) take B's rows [j0, j0 + 16): transposing that
+  // block gives the [k x 16] panel pack_b_strip cuts from a [k, n] B, and
+  // the tiles run over it as in gemm_rows. Transposing only moves bits, so
+  // this is matmul_rows over B^T bit for bit, without a whole B^T anywhere.
+  Workspace::Scope scope(Workspace::per_thread());
+  float* panel = scope.take(k * kNcAvx).data();
+  for (std::size_t j0 = 0; j0 < n; j0 += kNcAvx) {
+    const std::size_t nc = std::min(kNcAvx, n - j0);
+    transpose_blocked(b + j0 * k, panel, nc, k);
+    for (std::size_t i0 = row_begin; i0 < row_end; i0 += kMr) {
+      const std::size_t mr = std::min(kMr, row_end - i0);
+#if FEDPKD_GEMM_AVX
+      if (j0 < avx_cols) {
+        kAvxTiles[mr](a, k, 1, panel, kNcAvx, nullptr, c, k, n, i0, j0,
+                      Store::kAssign);
+        continue;
+      }
+#endif
+      gemm_tile_columns<Store::kAssign>(a, k, 1, panel, nc, nullptr, c, k, n,
+                                        i0, mr, j0, j0 + nc);
+    }
+  }
 }
 
 /// -- Naive references (the pre-blocking kernels, kept verbatim) --------------

@@ -53,13 +53,18 @@ void matmul_ta_acc_rows(const float* a, const float* b, float* c,
                         std::size_t k, std::size_t m, std::size_t n,
                         std::size_t row_begin, std::size_t row_end);
 
-/// C[m,n] = A x B^T for A [m,k], B stored [n,k]; overwrites C rows. The
-/// single-pass dot-product loop, kept as the reference for
-/// ops::matmul_transpose_b_into, which transposes B once and runs
-/// matmul_rows. That route sums the same products in the same kk order from
-/// the same +0, so it matches this loop bitwise on finite inputs; it also
-/// applies matmul's zero-skip, so where A is zero and B non-finite it leaves
-/// the finite sum instead of this loop's NaN.
+/// C[m,n] = A x B^T for A [m,k], B stored [n,k]; overwrites C rows. Each
+/// call packs B^T strip by strip into the calling thread's Workspace (a
+/// transpose of 16 B rows at a time) and runs the matmul tiles over it, so B
+/// is only read and is never transposed whole. Bitwise equal to matmul_rows
+/// on transpose_naive(B), including its zero-skip.
+void matmul_tb_rows(const float* a, const float* b, float* c, std::size_t k,
+                    std::size_t n, std::size_t row_begin, std::size_t row_end);
+/// The single-pass dot-product loop, kept as the reference for its blocked
+/// twin matmul_tb_rows. That sums the same products in the same kk order
+/// from the same +0, so it matches this loop bitwise on finite inputs; it
+/// also applies matmul's zero-skip, so where A is zero and B non-finite it
+/// leaves the finite sum instead of this loop's NaN.
 void matmul_tb_rows_naive(const float* a, const float* b, float* c,
                           std::size_t k, std::size_t n, std::size_t row_begin,
                           std::size_t row_end);

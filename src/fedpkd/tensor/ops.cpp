@@ -218,14 +218,9 @@ void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out) {
   }
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   out.ensure_shape({m, n});
-  // Transpose B to [k, n] once and run the matmul tiles: each output still
-  // sums a[i][kk] * b[j][kk] over ascending kk from +0, with matmul's
-  // zero-skip of A (see kernels::matmul_tb_rows_naive).
-  Workspace::Scope scope(Workspace::per_thread());
-  float* bt = scope.take(k * n).data();
-  kernels::transpose_blocked(b.data(), bt, n, k);
   dispatch_rows(m, k, n, [&](std::size_t row_begin, std::size_t row_end) {
-    kernels::matmul_rows(a.data(), bt, out.data(), k, n, row_begin, row_end);
+    kernels::matmul_tb_rows(a.data(), b.data(), out.data(), k, n, row_begin,
+                            row_end);
   });
 }
 

@@ -161,6 +161,73 @@ TEST(BlockedKernels, MatmulTransposeBSkipsZeroAAgainstNonFiniteB) {
   }
 }
 
+TEST(BlockedKernels, MatmulTbRowsMatchesMatmulOnTransposedB) {
+  // matmul_tb_rows packs B^T strip by strip from B [n, k]; every row range it
+  // is given must come out bitwise equal to the naive matmul over
+  // transpose_naive(B), writing only its own rows. The ranges split m rows
+  // as exec::parallel_for does at 1..4 lanes (the first m % lanes chunks one
+  // row longer). With `non_finite`, B holds inf, -inf and NaN where row 0 of
+  // A is zero (the zero skip, rerun in the tile) and row 1 is not. n = 45
+  // leaves 13 columns after the AVX strips: an SSE tile, then an edge tile.
+  const float kNonFinite[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+  const std::uint32_t sentinel_bits = 0x7fc0beef;
+  float sentinel;
+  std::memcpy(&sentinel, &sentinel_bits, sizeof sentinel);
+  for (const bool non_finite : {false, true}) {
+    for (const std::size_t n : {1u, 7u, 16u, 33u, 45u, 96u}) {
+      for (const std::size_t k : {1u, 3u, 10u, 64u, 97u}) {
+        for (const std::size_t m : {1u, 13u, 32u}) {
+          auto a = random_values(m * k, 241 + m + k, true);
+          auto b = random_values(n * k, 251 + n + k, false);  // [n, k]
+          if (non_finite) {
+            for (std::size_t j = 0; j < n; j += 3) {
+              const std::size_t kk = (5 * j) % k;
+              b[j * k + kk] = kNonFinite[j % 3];
+              a[kk] = j % 2 == 0 ? 0.0f : -0.0f;
+              if (m > 1) a[k + kk] = 1.5f;
+            }
+          }
+          std::vector<float> bt(k * n);
+          kernels::transpose_naive(b.data(), bt.data(), n, k);
+          std::vector<float> expected(m * n);
+          kernels::matmul_rows_naive(a.data(), bt.data(), expected.data(), k,
+                                     n, 0, m);
+          for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
+            const std::string where =
+                "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                " n=" + std::to_string(n) + " lanes=" + std::to_string(lanes) +
+                " non_finite=" + std::to_string(non_finite);
+            const std::size_t chunks = std::min(lanes, m);
+            std::vector<float> whole(m * n, sentinel);
+            std::size_t r0 = 0;
+            for (std::size_t c = 0; c < chunks; ++c) {
+              const std::size_t r1 = r0 + m / chunks + (c < m % chunks ? 1 : 0);
+              std::vector<float> part(m * n, sentinel);
+              kernels::matmul_tb_rows(a.data(), b.data(), part.data(), k, n,
+                                      r0, r1);
+              kernels::matmul_tb_rows(a.data(), b.data(), whole.data(), k, n,
+                                      r0, r1);
+              std::vector<float> want(m * n, sentinel);
+              std::copy(expected.begin() + r0 * n, expected.begin() + r1 * n,
+                        want.begin() + r0 * n);
+              EXPECT_TRUE(bitwise_equal(part, want))
+                  << where << " rows [" << r0 << ", " << r1 << ")";
+              r0 = r1;
+            }
+            EXPECT_TRUE(bitwise_equal(whole, expected)) << where;
+          }
+          if (non_finite && m > 1) {
+            EXPECT_TRUE(std::isfinite(expected[0])) << "m=" << m << " k=" << k;
+            EXPECT_FALSE(std::isfinite(expected[n])) << "m=" << m << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BlockedKernels, RowTailsMatchNaiveBitwise) {
   // A row range that is not a multiple of the 6-row tile ends in a 1..5-row
   // tail, which the AVX path runs on its own tile over every full 16-column

@@ -26,6 +26,7 @@
 #include "fedpkd/nn/residual.hpp"
 #include "fedpkd/nn/sequential.hpp"
 #include "fedpkd/nn/train_step.hpp"
+#include "fedpkd/tensor/kernels.hpp"
 #include "fedpkd/tensor/ops.hpp"
 #include "split_invariance.hpp"
 
@@ -919,6 +920,39 @@ TEST(RowSplit, ResMlp56StepIsLaneInvariant) {
   Rng rng(51);
   split_testing::expect_split_invariant(
       make_classifier("resmlp56", 24, 10, rng), {1, 5, 13, 32});
+}
+
+TEST(RowSplit, ResMlp56LinearBackwardIsLaneInvariant) {
+  // Linear::backward_rows packs its W^T strips on each lane from W itself.
+  // A lone 96x96 layer's input gradient is the naive gy W^T bit for bit, and
+  // several resmlp56 Adam steps at batch 8, 32 and a ragged 19 leave the
+  // same weights at 4 lanes as at 1.
+  Rng rng(58);
+  Linear layer(96, 96, rng);
+  const Tensor x = Tensor::randn({19, 96}, rng);
+  layer.forward(x, true);
+  const Tensor gy = Tensor::randn({19, 96}, rng);
+  const Tensor gx = layer.backward(gy);
+  std::vector<float> naive(19 * 96);
+  tensor::kernels::matmul_tb_rows_naive(gy.data(),
+                                        layer.weight().value.data(),
+                                        naive.data(), 96, 96, 0, 19);
+  EXPECT_EQ(std::memcmp(gx.data(), naive.data(), naive.size() * sizeof(float)),
+            0);
+
+  const Classifier init = make_classifier("resmlp56", 24, 10, rng);
+  setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);
+  for (const std::size_t batch : {8u, 32u, 19u}) {
+    exec::set_num_threads(1);
+    const split_testing::StepTrace serial = split_testing::run_train_steps(
+        init, split_testing::Update::kAdam, batch, false, /*steps=*/5);
+    exec::set_num_threads(4);
+    const split_testing::StepTrace parallel = split_testing::run_train_steps(
+        init, split_testing::Update::kAdam, batch, false, /*steps=*/5);
+    EXPECT_TRUE(split_testing::same_bits(parallel, serial)) << "batch=" << batch;
+  }
+  exec::set_num_threads(1);
+  unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
 }
 
 TEST(RowSplit, TanhDropoutStepIsLaneInvariant) {
