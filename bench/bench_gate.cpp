@@ -306,6 +306,7 @@ bool gated_op(const std::string& op) {
   return op.rfind("round:", 0) == 0 || op.rfind("robust:", 0) == 0 ||
          op.rfind("fault:", 0) == 0 || op.rfind("scale:", 0) == 0 ||
          op.rfind("async:", 0) == 0 || op.rfind("recovery:", 0) == 0 ||
+         op.rfind("BM_ClientModelBuild/", 0) == 0 ||
          op.rfind("BM_MatmulReluSparse", 0) == 0 ||
          op.rfind("BM_MatmulTransposeB/", 0) == 0 ||
          op.rfind("BM_ReluBackward", 0) == 0 ||

@@ -95,6 +95,34 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction);
 
+/// Building one resmlp20 client model with the pool's deferred builder, then
+/// either a FedAvg download (arg 0: a whole-model set_flat_weights, which
+/// drops the init stream undrawn) or a first read (arg 1: flat_weights,
+/// which draws the He init).
+void BM_ClientModelBuild(benchmark::State& state) {
+  const bool first_read = state.range(0) == 1;
+  Rng rng(5);
+  const Tensor download = nn::make_classifier("resmlp20", 32, 10, rng)
+                              .flat_weights();
+  std::uint64_t stream = 0;
+  const auto allocs_before = Tensor::allocation_count();
+  for (auto _ : state) {
+    nn::Classifier model = nn::make_classifier_deferred(
+        "resmlp20", 32, 10, rng.split(++stream));
+    if (first_read) {
+      benchmark::DoNotOptimize(model.flat_weights());
+    } else {
+      model.set_flat_weights(download);
+    }
+    benchmark::DoNotOptimize(model);
+  }
+  state.SetLabel(first_read ? "resmlp20,first_read" : "resmlp20,download");
+  state.counters["allocs_per_iter"] =
+      static_cast<double>(Tensor::allocation_count() - allocs_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ClientModelBuild)->Arg(0)->Arg(1);
+
 void BM_AdamStep(benchmark::State& state) {
   Rng rng(4);
   nn::Classifier model = nn::make_classifier("resmlp56", 32, 100, rng);

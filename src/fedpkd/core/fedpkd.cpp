@@ -33,11 +33,10 @@ FedPkd::FedPkd(fl::Federation& fed, Options options)
   }
   // Probe one throwaway model per distinct architecture instead of scanning
   // the population — a virtual federation may have a million clients but
-  // only a handful of archs.
+  // only a handful of archs. The probes' weights are never drawn.
   for (const std::string& arch : fed.distinct_archs()) {
-    tensor::Rng probe_rng(0);
-    const nn::Classifier probe =
-        nn::make_classifier(arch, fed.input_dim, fed.num_classes, probe_rng);
+    const nn::Classifier probe = nn::make_classifier_deferred(
+        arch, fed.input_dim, fed.num_classes, tensor::Rng());
     if (probe.feature_dim() != server_.feature_dim()) {
       throw std::invalid_argument(
           "FedPkd: all models must share the prototype feature dimension");

@@ -87,10 +87,9 @@ nn::Classifier load_checkpoint(const std::filesystem::path& path) {
   if (offset != end) {
     throw std::runtime_error("checkpoint: trailing bytes in " + path.string());
   }
-  // Seed is irrelevant: every weight is overwritten below.
-  tensor::Rng rng(0);
-  nn::Classifier model =
-      nn::make_classifier(arch, input_dim, num_classes, rng);
+  // set_flat_weights replaces every weight, so the init is never drawn.
+  nn::Classifier model = nn::make_classifier_deferred(
+      arch, input_dim, num_classes, tensor::Rng());
   model.set_flat_weights(weights);
   return model;
 }

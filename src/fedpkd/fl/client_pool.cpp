@@ -207,9 +207,11 @@ PoolRoundStats ClientPool::take_round_stats() {
 Client ClientPool::build_client(std::size_t id) const {
   ClientConfig cc = spec_.client_defaults;
   cc.arch = spec_.archs[id % spec_.archs.size()];
-  tensor::Rng model_rng = spec_.base_rng.split(kModelStream + id);
-  nn::Classifier model = nn::make_classifier(cc.arch, spec_.input_dim,
-                                             spec_.num_classes, model_rng);
+  // Deferred: when a blob hit or a FedAvg download replaces every weight
+  // first, the init is never drawn.
+  nn::Classifier model = nn::make_classifier_deferred(
+      cc.arch, spec_.input_dim, spec_.num_classes,
+      spec_.base_rng.split(kModelStream + id));
   tensor::Rng data_rng = spec_.base_rng.split(kShardStream + id);
   data::Dataset train;
   data::Dataset test;

@@ -280,9 +280,9 @@ std::unique_ptr<Federation> build_federation(
   for (std::size_t c = 0; c < config.num_clients; ++c) {
     ClientConfig cc = config.client_defaults;
     cc.arch = config.client_archs[c % config.client_archs.size()];
-    tensor::Rng model_rng = fed->rng.split(0x6d6f0000 + c);
-    nn::Classifier model = nn::make_classifier(cc.arch, fed->input_dim,
-                                               fed->num_classes, model_rng);
+    nn::Classifier model = nn::make_classifier_deferred(
+        cc.arch, fed->input_dim, fed->num_classes,
+        fed->rng.split(0x6d6f0000 + c));
     data::Dataset train = bundle.train_pool.subset(split[c]);
     data::Dataset test =
         make_local_test(bundle.test_global, train.class_histogram(),

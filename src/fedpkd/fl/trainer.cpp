@@ -201,6 +201,7 @@ Tensor batched_apply(Classifier& model, const Tensor& inputs,
     throw std::invalid_argument(
         "batched_apply: inputs must be rank-2 and batch_size > 0");
   }
+  model.draw_init();  // the lanes below only read the model
   const std::size_t n = inputs.rows(), d = inputs.cols();
   Tensor out({n, out_cols});
   const std::size_t grain = exec::grain_for_cost(model.parameter_count());

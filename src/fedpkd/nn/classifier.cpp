@@ -13,7 +13,9 @@ Classifier::Classifier(std::string arch_name, std::unique_ptr<Module> body,
   if (!body_ || !head_) {
     throw std::invalid_argument("Classifier: null body or head");
   }
-  for (const Parameter* p : parameters()) parameter_count_ += p->numel();
+  for (const GradJob& job : module_grad_jobs()) {
+    parameter_count_ += job.param->numel();
+  }
 }
 
 void Classifier::check_input(const Tensor& x, const char* who) const {
@@ -21,6 +23,13 @@ void Classifier::check_input(const Tensor& x, const char* who) const {
     throw std::invalid_argument(std::string(who) + ": expected [batch, " +
                                 std::to_string(input_dim_) + "], got " +
                                 x.shape_string());
+  }
+}
+
+void Classifier::check_drawn(const char* who) const {
+  if (pending_init_) {
+    throw std::logic_error(std::string(who) +
+                           ": initial weights not drawn yet (draw_init first)");
   }
 }
 
@@ -38,6 +47,7 @@ void Classifier::check_grad(const Tensor& g, const Tensor& like,
 
 Tensor Classifier::features(const Tensor& x, bool train) {
   check_input(x, "Classifier::features");
+  draw_init();
   if (!train) return body_->forward(x, /*train=*/false);
   body_->prepare(x.rows(), x.cols());
   body_->forward_rows(x, 0, x.rows());
@@ -47,6 +57,7 @@ Tensor Classifier::features(const Tensor& x, bool train) {
 
 Tensor Classifier::forward(const Tensor& x, bool train) {
   if (!train) {
+    draw_init();
     Tensor out;
     logits_into(x, out);
     return out;
@@ -58,6 +69,7 @@ Tensor Classifier::forward(const Tensor& x, bool train) {
 
 void Classifier::logits_into(const Tensor& x, Tensor& out) {
   check_input(x, "Classifier::logits_into");
+  check_drawn("Classifier::logits_into");
   EvalScratch scratch;
   body_->forward_eval_into(x, scratch.a());
   head_->forward_eval_into(scratch.a(), out);
@@ -65,6 +77,7 @@ void Classifier::logits_into(const Tensor& x, Tensor& out) {
 
 void Classifier::features_into(const Tensor& x, Tensor& out) {
   check_input(x, "Classifier::features_into");
+  check_drawn("Classifier::features_into");
   body_->forward_eval_into(x, out);
 }
 
@@ -90,6 +103,7 @@ void Classifier::backward_features(const Tensor& grad_features) {
 
 void Classifier::prepare(const Tensor& x) {
   check_input(x, "Classifier::forward");
+  draw_init();
   const std::size_t m = x.rows();
   body_->prepare(m, input_dim_);
   head_->prepare(m, body_->output().cols());
@@ -119,6 +133,11 @@ void Classifier::backward_rows(const Tensor& grad_logits,
 }
 
 std::vector<GradJob> Classifier::grad_jobs() {
+  draw_init();
+  return module_grad_jobs();
+}
+
+std::vector<GradJob> Classifier::module_grad_jobs() {
   std::vector<GradJob> jobs;
   body_->collect_grad_jobs(jobs);
   head_->collect_grad_jobs(jobs);
@@ -147,7 +166,23 @@ Tensor Classifier::flat_weights() {
 }
 
 void Classifier::set_flat_weights(const Tensor& flat) {
-  unflatten_parameters(flat, parameters());
+  std::vector<Parameter*> params;
+  for (const GradJob& job : module_grad_jobs()) params.push_back(job.param);
+  unflatten_parameters(flat, std::move(params));
+  pending_init_.reset();
+}
+
+void Classifier::draw_init() {
+  if (!pending_init_) return;
+  // Linear weights in parameter order are make_resmlp's construction order,
+  // so these are the draws make_classifier makes from the same stream.
+  for (const GradJob& job : module_grad_jobs()) {
+    auto* linear = dynamic_cast<Linear*>(job.owner);
+    if (linear != nullptr && job.param == &linear->weight()) {
+      linear->draw_init(*pending_init_);
+    }
+  }
+  pending_init_.reset();
 }
 
 Classifier Classifier::clone() const {
@@ -159,8 +194,10 @@ Classifier Classifier::clone() const {
     throw std::logic_error("Classifier::clone: head clone is not Linear");
   }
   head_generic.release();
-  return Classifier(arch_, std::move(body_copy),
-                    std::unique_ptr<Linear>(head_raw), input_dim_);
+  Classifier copy(arch_, std::move(body_copy),
+                  std::unique_ptr<Linear>(head_raw), input_dim_);
+  copy.pending_init_ = pending_init_;
+  return copy;
 }
 
 }  // namespace fedpkd::nn

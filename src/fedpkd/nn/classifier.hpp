@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "fedpkd/nn/linear.hpp"
@@ -19,6 +20,15 @@ namespace fedpkd::nn {
 ///
 /// Classifier is move-only; clone() makes an independent deep copy (used when
 /// the server seeds its model or FedAvg broadcasts the global weights).
+///
+/// A model from make_classifier_deferred holds its initial weights as a
+/// pending init stream until something reads them. The first read
+/// (parameters, grad_jobs, flat_weights, forward, features, prepare) draws
+/// exactly what make_classifier would have drawn from that stream; a
+/// set_flat_weights that comes first drops the stream undrawn. The
+/// shared-lane passes logits_into/features_into never draw: they throw
+/// std::logic_error on a pending model (fl::compute_logits draws before it
+/// forks).
 class Classifier {
  public:
   Classifier(std::string arch_name, std::unique_ptr<Module> body,
@@ -42,6 +52,7 @@ class Classifier {
   /// warm-up). Bitwise equal to forward(x, /*train=*/false). Writes no
   /// module state, so it can be interleaved with training passes and run on
   /// several lanes over one model at once. `out` must not alias `x`.
+  /// Throws std::logic_error while the initial weights are pending.
   void logits_into(const Tensor& x, Tensor& out);
   /// The features twin of logits_into: R_w(x) written into `out`.
   void features_into(const Tensor& x, Tensor& out);
@@ -90,7 +101,17 @@ class Classifier {
   std::size_t parameter_bytes() const { return 4 * parameter_count_; }
 
   Tensor flat_weights();
+  /// Replaces every weight (throws std::invalid_argument unless `flat` has
+  /// parameter_count() entries); a pending init stream is dropped undrawn.
   void set_flat_weights(const Tensor& flat);
+
+  /// -- Deferred initialization -----------------------------------------------
+
+  /// True while the initial weights are still to be drawn.
+  bool init_pending() const { return pending_init_.has_value(); }
+  /// Draws the pending initial weights now; a no-op once they are drawn.
+  /// Serial: call it before lanes share the model.
+  void draw_init();
 
   /// -- Introspection ---------------------------------------------------------
 
@@ -99,12 +120,23 @@ class Classifier {
   std::size_t feature_dim() const { return head_->in_features(); }
   std::size_t num_classes() const { return head_->out_features(); }
 
+  /// Deep copy; a pending init stream is copied undrawn.
   Classifier clone() const;
 
  private:
+  friend Classifier make_classifier_deferred(const std::string& arch,
+                                             std::size_t input_dim,
+                                             std::size_t num_classes,
+                                             tensor::Rng stream);
+
+  /// grad_jobs() without drawing a pending init.
+  std::vector<GradJob> module_grad_jobs();
+
   /// Throws std::invalid_argument, naming `who`, unless x is
   /// [batch, input_dim].
   void check_input(const Tensor& x, const char* who) const;
+  /// Throws std::logic_error, naming `who`, while the init is pending.
+  void check_drawn(const char* who) const;
   /// Throws unless `g` matches the step buffer `like` (logic_error before a
   /// training pass).
   static void check_grad(const Tensor& g, const Tensor& like, const char* what);
@@ -116,6 +148,7 @@ class Classifier {
   std::size_t parameter_count_ = 0;
   Tensor grad_features_;  // [m, feature_dim] head gradient + extra
   bool forward_through_head_ = false;
+  std::optional<Rng> pending_init_;  // set while every Linear W is undrawn
 };
 
 }  // namespace fedpkd::nn

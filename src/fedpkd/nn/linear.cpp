@@ -10,14 +10,25 @@ namespace fedpkd::nn {
 
 Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
                std::string name)
+    : Linear(in_features, out_features, std::move(name)) {
+  draw_init(rng);
+}
+
+Linear::Linear(std::size_t in_features, std::size_t out_features,
+               std::string name)
     : in_(in_features),
       out_(out_features),
-      weight_(name + ".weight",
-              Tensor::randn({in_features, out_features}, rng, 0.0f,
-                            std::sqrt(2.0f / static_cast<float>(in_features)))),
+      weight_(name + ".weight", Tensor::zeros({in_features, out_features})),
       bias_(name + ".bias", Tensor::zeros({out_features})) {
   if (in_features == 0 || out_features == 0) {
     throw std::invalid_argument("Linear: zero-sized layer");
+  }
+}
+
+void Linear::draw_init(Rng& rng) {
+  const float stddev = std::sqrt(2.0f / static_cast<float>(in_));
+  for (float& v : weight_.value.flat()) {
+    v = static_cast<float>(rng.normal(0.0f, stddev));
   }
 }
 

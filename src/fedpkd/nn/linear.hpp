@@ -12,6 +12,11 @@ class Linear final : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          std::string name = "linear");
+  /// The same layer with W still zero, for a later draw_init().
+  Linear(std::size_t in_features, std::size_t out_features, std::string name);
+
+  /// Overwrites W with the He draws the Rng constructor makes from `rng`.
+  void draw_init(Rng& rng);
 
   void forward_eval_into(const Tensor& x, Tensor& out) override;
   void prepare(std::size_t m, std::size_t in_cols) override;

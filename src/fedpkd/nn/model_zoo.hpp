@@ -40,11 +40,23 @@ std::vector<std::string> known_archs();
 Classifier make_classifier(const std::string& arch, std::size_t input_dim,
                            std::size_t num_classes, tensor::Rng& rng);
 
+/// make_classifier from a stream the caller gives away, without drawing yet:
+/// the model draws make_classifier's weights from `stream` on their first
+/// read, or never if set_flat_weights replaces them first (see Classifier).
+Classifier make_classifier_deferred(const std::string& arch,
+                                    std::size_t input_dim,
+                                    std::size_t num_classes,
+                                    tensor::Rng stream);
+
 /// Builds a custom residual MLP outside the registry (used in tests and by
 /// downstream users who want their own capacity point).
 Classifier make_resmlp(const std::string& name, std::size_t input_dim,
                        std::size_t num_classes, std::size_t blocks,
                        std::size_t hidden, tensor::Rng& rng);
+/// The same structure with every Linear weight zero (nothing drawn).
+Classifier make_resmlp(const std::string& name, std::size_t input_dim,
+                       std::size_t num_classes, std::size_t blocks,
+                       std::size_t hidden);
 
 /// Builds a small residual CNN for image-mode inputs (rows are flattened
 /// C,H,W images): conv stem, `blocks` residual conv blocks split around a

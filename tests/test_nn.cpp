@@ -13,6 +13,8 @@
 #include <numeric>
 #include <utility>
 
+#include "fedpkd/exec/thread_pool.hpp"
+#include "fedpkd/fl/trainer.hpp"
 #include "fedpkd/nn/activation.hpp"
 #include "fedpkd/nn/classifier.hpp"
 #include "fedpkd/nn/dropout.hpp"
@@ -876,6 +878,114 @@ TEST(ModelZoo, CustomResMlp) {
   EXPECT_EQ(model.arch(), "tiny");
   EXPECT_EQ(model.num_classes(), 3u);
   EXPECT_THROW(make_resmlp("bad", 0, 3, 1, 16, rng), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- DeferredInit ---
+
+/// Same shape and same bits.
+bool identical(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(DeferredInit, FirstReadDrawsTheEagerWeights) {
+  for (const std::string& arch : known_archs()) {
+    Rng eager_rng(41);
+    Classifier eager = make_classifier(arch, 24, 10, eager_rng);
+    const Tensor want = eager.flat_weights();
+
+    Classifier by_params = make_classifier_deferred(arch, 24, 10, Rng(41));
+    EXPECT_TRUE(by_params.init_pending()) << arch;
+    EXPECT_EQ(by_params.parameter_count(), eager.parameter_count()) << arch;
+    const std::vector<Parameter*> got = by_params.parameters();
+    const std::vector<Parameter*> ref = eager.parameters();
+    EXPECT_FALSE(by_params.init_pending()) << arch;
+    ASSERT_EQ(got.size(), ref.size()) << arch;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(identical(got[i]->value, ref[i]->value))
+          << arch << " " << ref[i]->name;
+    }
+
+    Classifier by_flat = make_classifier_deferred(arch, 24, 10, Rng(41));
+    EXPECT_TRUE(identical(by_flat.flat_weights(), want)) << arch;
+
+    Rng data(42);
+    const Tensor x = Tensor::randn({7, 24}, data);
+    Classifier by_forward = make_classifier_deferred(arch, 24, 10, Rng(41));
+    EXPECT_TRUE(identical(by_forward.forward(x, /*train=*/true),
+                          eager.forward(x, /*train=*/true)))
+        << arch;
+    EXPECT_TRUE(identical(by_forward.flat_weights(), want)) << arch;
+
+    const Classifier pending = make_classifier_deferred(arch, 24, 10, Rng(41));
+    Classifier copy = pending.clone();
+    EXPECT_TRUE(copy.init_pending()) << arch;
+    EXPECT_TRUE(identical(copy.flat_weights(), want)) << arch;
+    EXPECT_TRUE(pending.init_pending()) << arch;
+  }
+}
+
+TEST(DeferredInit, WholeModelSetFlatWeightsLeavesNothingToDraw) {
+  Classifier model = make_classifier_deferred("resmlp20", 16, 10, Rng(43));
+  Tensor w({model.parameter_count()});
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    w[i] = 0.001f * static_cast<float>(i % 97);
+  }
+  model.set_flat_weights(w);
+  EXPECT_FALSE(model.init_pending());
+  EXPECT_TRUE(identical(model.flat_weights(), w));
+  Tensor logits;
+  model.logits_into(Tensor::zeros({2, 16}), logits);  // drawn: no throw
+  EXPECT_EQ(logits.cols(), 10u);
+}
+
+TEST(DeferredInit, WrongSizeSetFlatWeightsThrowsAndKeepsTheStream) {
+  Classifier model = make_classifier_deferred("resmlp11", 8, 4, Rng(44));
+  EXPECT_THROW(model.set_flat_weights(Tensor({model.parameter_count() - 1})),
+               std::invalid_argument);
+  EXPECT_THROW(model.set_flat_weights(Tensor({model.parameter_count() + 1})),
+               std::invalid_argument);
+  EXPECT_TRUE(model.init_pending());
+  Rng eager_rng(44);
+  EXPECT_TRUE(identical(model.flat_weights(),
+                        make_classifier("resmlp11", 8, 4, eager_rng)
+                            .flat_weights()));
+}
+
+TEST(DeferredInit, SharedLanePassesThrowOnAPendingModel) {
+  Classifier model = make_classifier_deferred("resmlp11", 8, 4, Rng(45));
+  const Tensor x = Tensor::zeros({3, 8});
+  Tensor out;
+  EXPECT_THROW(model.logits_into(x, out), std::logic_error);
+  EXPECT_THROW(model.features_into(x, out), std::logic_error);
+  EXPECT_TRUE(model.init_pending());
+  model.draw_init();
+  EXPECT_FALSE(model.init_pending());
+  model.logits_into(x, out);
+  EXPECT_EQ(out.cols(), 4u);
+}
+
+TEST(DeferredInit, ComputeLogitsOnAPendingModelMatchesEagerAtOneAndFourLanes) {
+  Rng eager_rng(46);
+  Classifier eager = make_classifier("resmlp20", 24, 10, eager_rng);
+  Rng data(47);
+  const Tensor x = Tensor::randn({70, 24}, data);
+  const Tensor want_logits = fl::compute_logits(eager, x, 16);
+  const Tensor want_features = fl::compute_features(eager, x, 16);
+  for (std::size_t lanes : {1u, 4u}) {
+    exec::set_num_threads(lanes);
+    Classifier for_logits = make_classifier_deferred("resmlp20", 24, 10,
+                                                     Rng(46));
+    EXPECT_TRUE(identical(fl::compute_logits(for_logits, x, 16), want_logits))
+        << lanes << " lanes";
+    EXPECT_FALSE(for_logits.init_pending());
+    Classifier for_features = make_classifier_deferred("resmlp20", 24, 10,
+                                                       Rng(46));
+    EXPECT_TRUE(identical(fl::compute_features(for_features, x, 16),
+                          want_features))
+        << lanes << " lanes";
+  }
+  exec::set_num_threads(1);
 }
 
 TEST(ModelZoo, GradientCheckTinyModelEndToEnd) {

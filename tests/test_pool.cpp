@@ -828,6 +828,50 @@ TEST(PoolHydration, BadIdLeavesThePoolUntouched) {
   EXPECT_EQ(pool.warm_ids_lru(), (std::vector<std::size_t>{0, 1, 2, 5}));
 }
 
+/// FedAvg on a population where nearly every cohort member is fresh, with
+/// half of all frames dropped and no retries: the clients whose broadcast is
+/// lost train from their initial weights, which the pool's deferred builder
+/// draws on that first read. Digest of every round's accuracies and bytes,
+/// then of the final pool state (which serializes the warm clients).
+std::uint64_t lost_broadcast_digest(std::size_t threads,
+                                    std::size_t* bundles_lost) {
+  auto fed = virtual_federation(threads, /*warm=*/4, /*population=*/200);
+  comm::FaultPlan plan;
+  plan.drop_probability = 0.5;
+  plan.max_retries = 0;
+  plan.seed = 2525;
+  fed->channel.set_fault_plan(plan);
+  auto algo = make_algorithm("FedAvg", *fed);
+  fl::RunOptions options;
+  options.rounds = 4;
+  const fl::RunHistory history = fl::run_federation(*algo, *fed, options);
+  exec::set_num_threads(1);
+  std::vector<std::byte> bytes;
+  const auto put = [&bytes](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(std::byte(v >> (8 * i)));
+  };
+  *bundles_lost = 0;
+  for (const fl::RoundMetrics& r : history.rounds) {
+    put(r.server_accuracy ? float_bits(*r.server_accuracy) : 0u);
+    for (float acc : r.client_accuracy) put(float_bits(acc));
+    put(r.cumulative_bytes);
+    if (r.fault_stats) *bundles_lost += r.fault_stats->bundles_lost;
+  }
+  fed->pool.save_state(bytes);
+  return fnv1a(bytes);
+}
+
+TEST(PoolHydration, LostBroadcastsTrainFromTheEagerInitialWeights) {
+  // Recorded with clients whose weights were drawn when they were built.
+  constexpr std::uint64_t kEagerDigest = 0x20fce07d59f10b29ull;
+  for (std::size_t threads : {1u, 4u}) {
+    std::size_t lost = 0;
+    EXPECT_EQ(lost_broadcast_digest(threads, &lost), kEagerDigest)
+        << threads << " lanes";
+    EXPECT_GT(lost, 0u);
+  }
+}
+
 // ------------------------------------------------------------ concurrency ----
 
 TEST(PoolConcurrency, ConcurrentHydrateAndEvict) {
