@@ -4,20 +4,22 @@
 //
 // The claim under test: with a virtual federation, per-round cost and
 // resident memory depend on the cohort and the warm LRU, not on the
-// population. Specs are derivable, shards hydrate lazily, and the pool
-// dehydrates evicted clients to compact blobs — so the curve should be
-// flat in rounds/sec and near-flat in peak RSS from 1k to 1M.
+// population or the number of rounds. Specs are derivable, shards hydrate
+// lazily, and the pool spills evicted clients to a file — so the curve
+// should be flat in rounds/sec and near-flat in peak RSS from 1k to 1M.
 //
-// Each leg runs in this one process, ascending population order. Peak RSS
-// is read from /proc/self/status (VmHWM) and reset between legs via
-// /proc/self/clear_refs where the kernel allows it; without the reset the
-// values are monotone lifetime peaks — still a valid ceiling, just not a
-// per-leg curve (the table says which mode was active).
+// Each leg runs in its own child process (this binary, re-executed with
+// --leg), one at a time in ascending population order, so its peak RSS
+// (VmHWM) covers that leg only and not the heap earlier legs left behind.
+// The parent only spawns, collects and reports; it starts no pool threads.
 //
 // Emits `scale:<algorithm>` records (ns_per_iter = wall-clock per round,
 // rss_kb = leg peak RSS) into FEDPKD_BENCH_JSON; bench_gate gates rss_kb
-// as the one-sided `peak_rss_kb` metric, so an O(population) memory
-// regression turns the bench-gate job red.
+// as the one-sided `peak_rss_kb` metric, so an O(population) or
+// O(rounds) memory regression turns the bench-gate job red. When --rounds
+// overrides the scale's default, the shape ends in `,rounds=R`, so a long
+// memory-bound leg (`--algorithms FedAvg --populations 100000 --rounds
+// 200`) never shares a record with the sweep.
 //
 // Usage:
 //   scale_clients [--populations 1000,10000,...] [--cohort N] [--rounds R]
@@ -31,30 +33,27 @@
 
 #include "common.hpp"
 
+#include <spawn.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 
 #include "fedpkd/exec/thread_pool.hpp"
+
+extern char** environ;
 
 namespace {
 
 using namespace fedpkd;
 using Clock = std::chrono::steady_clock;
 
-/// True once reset_peak_rss has succeeded: per-leg peaks are real, not
-/// monotone lifetime maxima.
-bool g_rss_resets = false;
-
-void reset_peak_rss() {
-  std::ofstream clear("/proc/self/clear_refs");
-  if (clear) {
-    clear << "5\n";
-    g_rss_resets = g_rss_resets || clear.good();
-  }
-}
-
+/// This process's lifetime peak RSS in KiB; in a leg's child process that
+/// is the leg's peak.
 double peak_rss_kb() {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -77,6 +76,8 @@ struct Args {
   std::size_t threads = 1;
   double max_rss_kb = 0.0;  // 0 = report only
   double max_growth = 0.0;  // 0 = report only
+  bool rounds_overridden = false;  // --rounds given: the shape names it
+  bool leg = false;  // child mode: run the one leg, print its result line
 };
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -121,6 +122,7 @@ Args parse(int argc, char** argv, const bench::Scale& scale) {
       args.cohort = std::stoul(need(i, "--cohort"));
     } else if (a == "--rounds") {
       args.rounds = std::stoul(need(i, "--rounds"));
+      args.rounds_overridden = true;
     } else if (a == "--warm-cache") {
       args.warm_cache = std::stoul(need(i, "--warm-cache"));
     } else if (a == "--threads") {
@@ -129,6 +131,8 @@ Args parse(int argc, char** argv, const bench::Scale& scale) {
       args.max_rss_kb = std::stod(need(i, "--max-rss-kb"));
     } else if (a == "--max-growth") {
       args.max_growth = std::stod(need(i, "--max-growth"));
+    } else if (a == "--leg") {
+      args.leg = true;
     } else {
       throw std::invalid_argument("unknown flag " + a);
     }
@@ -136,9 +140,10 @@ Args parse(int argc, char** argv, const bench::Scale& scale) {
   if (args.populations.empty() || args.algorithms.empty()) {
     throw std::invalid_argument("need at least one population and algorithm");
   }
-  // Ascending populations keep the no-reset fallback meaningful: a leg's
-  // lifetime peak is then dominated by its own population, not a larger
-  // earlier one.
+  if (args.leg &&
+      (args.populations.size() != 1 || args.algorithms.size() != 1)) {
+    throw std::invalid_argument("--leg runs one algorithm at one population");
+  }
   std::sort(args.populations.begin(), args.populations.end());
   return args;
 }
@@ -195,8 +200,68 @@ Leg run_leg(const std::string& algorithm, std::size_t population,
     if (r.pool_stats) leg.pool += *r.pool_stats;
   }
   // Peak is read *after* the run so it covers construction + all rounds of
-  // this leg (and only this leg, when the kernel honors the reset).
+  // this leg; the leg's process ran nothing else.
   leg.rss_kb = peak_rss_kb();
+  return leg;
+}
+
+/// Runs one leg in a child process of this binary and parses the result
+/// line the child prints (see the --leg branch of main).
+Leg spawn_leg(const std::string& algorithm, std::size_t population,
+              const Args& args) {
+  const std::vector<std::string> words = {
+      "scale_clients",   "--leg",
+      "--algorithms",    algorithm,
+      "--populations",   std::to_string(population),
+      "--cohort",        std::to_string(args.cohort),
+      "--rounds",        std::to_string(args.rounds),
+      "--warm-cache",    std::to_string(args.warm_cache),
+      "--threads",       std::to_string(args.threads)};
+  std::vector<char*> argv;
+  for (const std::string& w : words) argv.push_back(const_cast<char*>(w.c_str()));
+  argv.push_back(nullptr);
+
+  int out[2];
+  if (::pipe(out) != 0) {
+    throw std::runtime_error(std::string("pipe: ") + std::strerror(errno));
+  }
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_adddup2(&actions, out[1], STDOUT_FILENO);
+  posix_spawn_file_actions_addclose(&actions, out[0]);
+  pid_t pid = 0;
+  const int spawned = ::posix_spawn(&pid, "/proc/self/exe", &actions, nullptr,
+                                    argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ::close(out[1]);
+  std::string reply;
+  if (spawned == 0) {
+    char buf[256];
+    ::ssize_t n;
+    while ((n = ::read(out[0], buf, sizeof buf)) != 0) {
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) break;
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(out[0]);
+  if (spawned != 0) {
+    throw std::runtime_error("cannot start a leg: " +
+                             std::string(std::strerror(spawned)));
+  }
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  Leg leg;
+  leg.population = population;
+  std::istringstream in(reply);
+  std::string tag;
+  in >> tag >> leg.seconds >> leg.rss_kb >> leg.pool.hits >> leg.pool.misses >>
+      leg.pool.hydrations;
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || tag != "leg" || !in) {
+    throw std::runtime_error(algorithm + " pop=" + std::to_string(population) +
+                             ": the leg's process failed");
+  }
   return leg;
 }
 
@@ -212,6 +277,14 @@ int main(int argc, char** argv) try {
   using namespace fedpkd;
   const bench::Scale scale = bench::current_scale();
   const Args args = parse(argc, argv, scale);
+  if (args.leg) {
+    const Leg leg =
+        run_leg(args.algorithms.front(), args.populations.front(), args);
+    std::cout << std::setprecision(17) << "leg " << leg.seconds << ' '
+              << leg.rss_kb << ' ' << leg.pool.hits << ' ' << leg.pool.misses
+              << ' ' << leg.pool.hydrations << '\n';
+    return 0;
+  }
   bench::print_banner("Virtual-client pool — population scaling", scale);
   std::cout << "cohort=" << args.cohort << " rounds=" << args.rounds
             << " warm-cache="
@@ -226,8 +299,7 @@ int main(int argc, char** argv) try {
   for (const std::string& algorithm : args.algorithms) {
     double first_rss = 0.0, last_rss = 0.0;
     for (const std::size_t population : args.populations) {
-      reset_peak_rss();
-      const Leg leg = run_leg(algorithm, population, args);
+      const Leg leg = spawn_leg(algorithm, population, args);
       if (first_rss == 0.0) first_rss = leg.rss_kb;
       last_rss = leg.rss_kb;
 
@@ -246,7 +318,10 @@ int main(int argc, char** argv) try {
       record.shape = "pop=" + std::to_string(population) +
                      ",cohort=" + std::to_string(args.cohort) +
                      ",threads=" + std::to_string(args.threads) +
-                     ",scale=" + scale.name;
+                     ",scale=" + scale.name +
+                     (args.rounds_overridden
+                          ? ",rounds=" + std::to_string(args.rounds)
+                          : "");
       record.ns_per_iter = per_round * 1e9;
       record.threads = std::min(args.threads, exec::hardware_threads());
       record.rss_kb = leg.rss_kb;
@@ -271,11 +346,8 @@ int main(int argc, char** argv) try {
   }
 
   table.print();
-  std::cout << "\npeak RSS is per-leg ("
-            << (g_rss_resets ? "kernel honors the VmHWM reset"
-                             : "no VmHWM reset on this kernel — values are "
-                               "monotone lifetime peaks")
-            << ").\nExpectation: rounds/s and peak RSS stay ~flat as the "
+  std::cout << "\npeak RSS is per-leg (each leg ran in its own process)."
+               "\nExpectation: rounds/s and peak RSS stay ~flat as the "
                "population grows — per-round cost is O(cohort), memory is "
                "O(warm cache).\n";
   bench::append_bench_records(records);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -47,7 +48,18 @@ struct PoolStats {
 ///    trained before — its RNG state and weights are restored from a compact
 ///    dehydration blob (checkpoint codecs: put_rng + encode_tensor). Warm
 ///    clients live in a bounded LRU; eviction dehydrates the least recently
-///    acquired unpinned client.
+///    acquired unpinned client into the spill file.
+///
+/// The spill file holds every evicted client's blob, so pool RAM is bounded
+/// by the warm cap, not by how many clients a run has touched. It is one
+/// process-private file under std::filesystem::temp_directory_path()
+/// (TMPDIR), created at the first eviction and unlinked at once. Each
+/// evicted client owns one fixed extent, assigned serially in victim order
+/// and overwritten in place when the client is evicted again, so the file
+/// holds distinct evicted clients × their sealed blob size. Every blob is
+/// sealed with durable_io's footer; a damaged extent makes the hydration of
+/// its client throw. The file is a cache, never fsynced: crash safety comes
+/// from checkpoints (save_state). Resident pools never open it.
 ///
 /// Determinism contract: acquire() is thread-safe (one mutex guards all pool
 /// structures), but LRU recency — and therefore eviction order — follows the
@@ -56,9 +68,10 @@ struct PoolStats {
 /// and every downstream result are bitwise independent of the thread count.
 /// Hydration (pin_cohort, load_state, an acquire() miss) fans the
 /// per-client work — building, blob restore, dehydration — out to the exec
-/// lanes while holding the mutex; the lanes only read the spec, the blob
-/// table and the victims and never take the mutex, and every structural
-/// change happens serially in id order.
+/// lanes while holding the mutex; the lanes only read the spec, the extent
+/// table and the victims, read and write disjoint extents of the spill file
+/// and never take the mutex, and every structural change happens serially
+/// in id order.
 /// Rehydration is exact: blob weights and RNG state (including the Box-Muller
 /// cache) round-trip bitwise, and the regenerated shard is byte-identical
 /// because the sampler streams are derived from (base seed, id) only.
@@ -86,6 +99,7 @@ class ClientPool {
   };
 
   ClientPool() = default;
+  ~ClientPool();
   ClientPool(const ClientPool&) = delete;
   ClientPool& operator=(const ClientPool&) = delete;
 
@@ -115,10 +129,13 @@ class ClientPool {
   /// pin. Four phases under the pool mutex:
   ///  1. validate every id (out_of_range leaves the pool untouched), then
   ///     replace the pins;
-  ///  2. if any member is cold, evict first: the oldest unpinned LRU entries
-  ///     that would overflow max(warm_capacity, pins), dehydrated on the
-  ///     lanes, retired serially;
-  ///  3. build every cold member (and apply its blob) on the lanes;
+  ///  2. if any member is cold, choose the victims: the oldest unpinned LRU
+  ///     entries that would overflow max(warm_capacity, pins), each given
+  ///     its spill-file extent (if the file cannot be opened, the error
+  ///     names its directory and nothing is evicted);
+  ///  3. on the lanes, one task spills and frees the victims in victim
+  ///     order while the others build every cold member (and apply its
+  ///     blob); then retire the victims serially;
   ///  4. install in the given order: a cold member counts a miss and joins
   ///     the LRU tail, a warm one counts a hit and is touched.
   /// LRU order, blobs and counters equal one serial acquire per id at any
@@ -134,16 +151,23 @@ class ClientPool {
   /// per-round counts as an uninterrupted one.
   PoolRoundStats take_round_stats();
 
-  /// The compact dehydration blob of one client: RNG state + flat weights,
-  /// in the checkpoint codec format. Datasets are never stored — shards are
-  /// regenerated from the spec on hydration.
-  std::vector<std::byte> dehydrate(Client& client) const;
+  /// Appends the compact dehydration blob of one client to `out`: RNG state
+  /// + flat weights, in the checkpoint codec format. Datasets are never
+  /// stored — shards are regenerated from the spec on hydration.
+  void dehydrate(Client& client, std::vector<std::byte>& out) const;
+
+  /// The spill file's descriptor; -1 until the first eviction (or a
+  /// load_state with blobs). For inspection: its size is the sum of the
+  /// extents, one sealed blob (dehydrate + durable::kFooterSize) per client.
+  int spill_fd() const { return spill_fd_; }
 
   /// Checkpoint v4 body: mode byte, then either every resident client's
   /// RNG + weights (id order, the v3 layout) or the virtual pool state
-  /// (warm-LRU id list in recency order + the touched-client blob table).
-  /// load_state rebuilds the recorded warm set on the lanes and installs it
-  /// in recorded order without evicting, even above warm_capacity.
+  /// (warm-LRU id list in recency order + the touched-client blob table;
+  /// evicted clients' blobs are read back from the spill file). load_state
+  /// truncates the spill file, writes every blob of the table to it, then
+  /// rebuilds the recorded warm set on the lanes and installs it in recorded
+  /// order without evicting, even above warm_capacity.
   void save_state(std::vector<std::byte>& out);
   void load_state(std::span<const std::byte> bytes, std::size_t& offset);
 
@@ -151,24 +175,43 @@ class ClientPool {
 
  private:
   Client build_client(std::size_t id) const;  // fresh from the spec
-  /// build_client plus the blob restore, if any. Reads only spec_ and
-  /// blobs_, so lanes may run it while the mutex holder waits.
+  /// One client's place in the spill file: a sealed blob (dehydrate output
+  /// plus the durable footer) of fixed size, since the id fixes the arch.
+  struct Extent {
+    std::uint64_t offset = 0;
+    std::size_t size = 0;
+  };
+  /// build_client plus the blob restore, if the id has an extent: reads and
+  /// verifies the extent first, so a damaged blob throws (naming the
+  /// client) before anything is built. Reads only spec_, extents_ and the
+  /// spill file, so lanes may run it while the mutex holder waits.
   std::unique_ptr<Client> hydrate(std::size_t id) const;
+  /// Dehydrates, seals and writes one client into its extent (lane-safe).
+  void spill(Client& client, const Extent& extent) const;
+  /// Opens the spill file if it is not open yet (serial, under the mutex).
+  void open_spill_locked();
   void touch_locked(std::size_t id);
-  /// Brings every id warm, in order: evict for the cold members first, build
-  /// them on the lanes, then install serially (cold ids count a miss and
-  /// join the LRU tail, warm ones count a hit and are touched).
+  /// Brings every id warm, in order: choose the victims the cold members
+  /// displace, spill them (one task, one writer) and build the cold members
+  /// in one lane fan-out, retire the spilled victims serially, then install
+  /// serially (cold ids count a miss and join the LRU tail, warm ones count
+  /// a hit and are touched).
   void hydrate_locked(std::span<const std::size_t> ids);
-  /// Makes room for `incoming` new clients under the pinned cap, before
-  /// they are built: the oldest unpinned clients are dehydrated on the
-  /// lanes, then retired serially.
-  void evict_for_locked(std::size_t incoming);
+  /// Appends the victims that make room for `incoming` new clients under
+  /// the pinned cap (the oldest unpinned clients) and their extents,
+  /// assigned serially in victim order; opens the spill file if needed. A
+  /// failed open throws before anything changes.
+  void plan_evictions_locked(std::size_t incoming,
+                             std::vector<std::size_t>& victims,
+                             std::vector<Extent>& extents);
 
   bool virtual_ = false;
   std::vector<Client> resident_;  // resident mode storage; never resized
   VirtualSpec spec_;
   std::vector<std::unique_ptr<Client>> warm_;  // virtual mode, population-sized
-  std::unordered_map<std::size_t, std::vector<std::byte>> blobs_;
+  int spill_fd_ = -1;           // the unlinked spill file, once opened
+  std::uint64_t spill_end_ = 0;  // bytes assigned to extents
+  std::unordered_map<std::size_t, Extent> extents_;  // every evicted id
   std::list<std::size_t> lru_;  // warm ids, least recently acquired first
   std::unordered_map<std::size_t, std::list<std::size_t>::iterator> lru_pos_;
   std::unordered_set<std::size_t> pinned_;

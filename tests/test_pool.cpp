@@ -19,15 +19,28 @@
 //    counters and pool-state bytes were recorded with the serial hydration
 //    loop, checked at 1 and 4 lanes, plus all-or-nothing pin validation,
 //  * thread-safety of concurrent hydrate/evict and of lane-parallel pins
-//    (run under TSan in CI).
+//    (run under TSan in CI),
+//  * the spill file: one extent per distinct evicted client however often
+//    it is evicted, a store that load_state rewrites rather than grows, a
+//    damaged blob that fails its client's hydration, a failed write that
+//    keeps its victim warm, and a missing temp directory that fails the
+//    first eviction without evicting anything.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +50,7 @@
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/checkpoint.hpp"
 #include "fedpkd/fl/dsfl.hpp"
+#include "fedpkd/fl/durable_io.hpp"
 #include "fedpkd/fl/fedavg.hpp"
 #include "fedpkd/fl/feddf.hpp"
 #include "fedpkd/fl/fedet.hpp"
@@ -775,7 +789,8 @@ std::vector<HydrationStep> run_hydration_script(std::size_t threads) {
 
 TEST(PoolHydration, GoldenScriptAtOneAndFourLanes) {
   // Recorded with the serial one-acquire-per-id hydration loop that the
-  // evict-first / build-on-lanes / ordered-install pin replaced.
+  // lane-parallel pin (victims spilled and cold members built on the lanes,
+  // ordered install) replaced.
   const std::vector<HydrationStep> want = {
       {{2, 0, 1}, 2, 3, 3, 0, 0, 0x644fdead08f3570aull},
       {{1, 3, 4}, 5, 5, 5, 2, 2, 0xbbb282d40cf85bcfull},
@@ -946,6 +961,222 @@ TEST(PoolConcurrency, PinOnLanesAlongsideConcurrentAcquires) {
   const fl::PoolStats stats = pool.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.hits + stats.misses, 40u * 8u + 2u * 200u);
+}
+
+// ------------------------------------------------------------ spill file ----
+
+std::size_t spill_size(const fl::ClientPool& pool) {
+  struct stat st {};
+  EXPECT_EQ(::fstat(pool.spill_fd(), &st), 0);
+  return static_cast<std::size_t>(st.st_size);
+}
+
+/// Bytes one resmlp11 client occupies in the spill file.
+std::size_t sealed_blob_size(fl::ClientPool& pool, std::size_t warm_id) {
+  std::vector<std::byte> blob;
+  pool.dehydrate(pool.acquire(warm_id), blob);
+  return blob.size() + fl::durable::kFooterSize;
+}
+
+/// 200 FedAvg rounds, run one at a time so every round's evictions can be
+/// read off the warm set: cohorts of 4 from 40 clients under a warm cap of 6
+/// evict most clients many times over. Checks the spill file's size after
+/// the run and after each of two load_state calls, then after loading the
+/// smaller state saved at round 10; returns the final pool state.
+std::vector<std::byte> expect_one_extent_per_evicted_client(
+    std::size_t threads) {
+  auto fed = virtual_federation(threads, /*warm=*/6, /*population=*/40);
+  auto algo = make_algorithm("FedAvg", *fed);
+  fl::ClientPool& pool = fed->pool;
+  std::set<std::size_t> evicted;
+  std::size_t evictions = 0;
+  std::vector<std::size_t> warm = pool.warm_ids_lru();
+  std::vector<std::byte> early;
+  std::size_t early_touched = 0;
+  for (std::size_t round = 0; round < 200; ++round) {
+    fl::RunOptions one;
+    one.start_round = round;
+    one.rounds = round + 1;
+    fl::run_federation(*algo, *fed, one);
+    for (std::size_t id : warm) {
+      if (!pool.is_warm(id)) {
+        evicted.insert(id);
+        ++evictions;
+      }
+    }
+    warm = pool.warm_ids_lru();
+    if (round == 10) {
+      pool.save_state(early);
+      std::set<std::size_t> touched = evicted;
+      touched.insert(warm.begin(), warm.end());
+      early_touched = touched.size();
+    }
+  }
+  EXPECT_EQ(evictions, pool.stats().evictions) << "an eviction went unseen";
+  EXPECT_GT(evictions, 2 * evicted.size()) << "too few re-evictions";
+  const std::size_t sealed = sealed_blob_size(pool, warm.back());
+  EXPECT_EQ(spill_size(pool), evicted.size() * sealed);
+
+  // load_state truncates the file, then gives every touched client (the
+  // evicted ones and the warm ones) one extent; a second load rewrites it.
+  std::set<std::size_t> touched = evicted;
+  touched.insert(warm.begin(), warm.end());
+  std::vector<std::byte> state;
+  pool.save_state(state);
+  for (int load = 0; load < 2; ++load) {
+    std::size_t offset = 0;
+    pool.load_state(state, offset);
+    EXPECT_EQ(spill_size(pool), touched.size() * sealed) << "load " << load;
+  }
+  std::vector<std::byte> resaved;
+  pool.save_state(resaved);
+  EXPECT_EQ(resaved, state);
+  // A smaller state shrinks the file.
+  EXPECT_LT(early_touched, touched.size());
+  std::size_t offset = 0;
+  pool.load_state(early, offset);
+  EXPECT_EQ(spill_size(pool), early_touched * sealed);
+  exec::set_num_threads(1);
+  return state;
+}
+
+TEST(PoolSpill, OneExtentPerDistinctEvictedClientAtOneAndFourLanes) {
+  const std::vector<std::byte> serial = expect_one_extent_per_evicted_client(1);
+  EXPECT_EQ(expect_one_extent_per_evicted_client(4), serial);
+}
+
+TEST(PoolSpill, DamagedBlobFailsItsClientsHydration) {
+  auto fed = virtual_federation(1, /*warm=*/2, /*population=*/8);
+  fl::ClientPool& pool = fed->pool;
+  fl::TrainOptions opts;
+  opts.epochs = 1;
+  fl::Client& trained = pool.acquire(3);
+  trained.train_local(opts);
+  const tensor::Tensor weights = trained.model.flat_weights();
+  (void)pool.acquire(4);
+  (void)pool.acquire(5);  // evicts 3 into the file's first extent
+  ASSERT_FALSE(pool.is_warm(3));
+  ASSERT_GE(pool.spill_fd(), 0);
+
+  // Flip one byte inside client 3's weights.
+  constexpr off_t kAt = 200;
+  std::byte b{};
+  ASSERT_EQ(::pread(pool.spill_fd(), &b, 1, kAt), 1);
+  const std::byte flipped = b ^ std::byte{0x10};
+  ASSERT_EQ(::pwrite(pool.spill_fd(), &flipped, 1, kAt), 1);
+
+  const fl::PoolStats before = pool.stats();
+  try {
+    (void)pool.acquire(3);
+    ADD_FAILURE() << "a damaged blob hydrated";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("client 3:"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(pool.is_warm(3));
+  EXPECT_EQ(pool.stats().hydrations, before.hydrations);
+
+  // Nothing else was harmed: with the byte restored, 3 comes back trained.
+  ASSERT_EQ(::pwrite(pool.spill_fd(), &b, 1, kAt), 1);
+  EXPECT_EQ(tensor::max_abs_difference(pool.acquire(3).model.flat_weights(),
+                                       weights),
+            0.0f);
+}
+
+TEST(PoolSpill, AFailedWriteKeepsItsVictimWarm) {
+  auto fed = virtual_federation(1, /*warm=*/2, /*population=*/8);
+  fl::ClientPool& pool = fed->pool;
+  (void)pool.acquire(0);
+  const tensor::Tensor weights_1 = pool.acquire(1).model.flat_weights();
+  (void)pool.acquire(2);  // evicts 0 into the file's first extent
+  const std::size_t sealed = spill_size(pool);
+  ASSERT_GT(sealed, 0u);
+
+  // A file-size limit leaves room for exactly one more blob: pinning two
+  // cold clients evicts 1 (written) and 2 (fails with EFBIG).
+  rlimit old_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit limit = old_limit;
+  limit.rlim_cur = static_cast<rlim_t>(2 * sealed);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+  const std::vector<std::size_t> cohort = {3, 4};
+  try {
+    pool.pin_cohort(cohort);
+    ADD_FAILURE() << "the write past the file-size limit succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("client 2:"), std::string::npos)
+        << e.what();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_EQ(pool.warm_ids_lru(), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(pool.stats().evictions, 2u);
+  EXPECT_EQ(spill_size(pool), 2 * sealed);
+  EXPECT_EQ(tensor::max_abs_difference(pool.acquire(1).model.flat_weights(),
+                                       weights_1),
+            0.0f);
+  pool.pin_cohort(cohort);
+  EXPECT_TRUE(pool.is_warm(3) && pool.is_warm(4));
+}
+
+/// Sets an environment variable for one scope, then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(PoolSpill, MissingTempDirFailsTheFirstEvictionAndKeepsTheVictims) {
+  auto fed = virtual_federation(1, /*warm=*/2, /*population=*/8);
+  fl::ClientPool& pool = fed->pool;
+  (void)pool.acquire(0);
+  (void)pool.acquire(1);
+  std::vector<std::byte> state;
+  pool.save_state(state);
+
+  const std::string missing =
+      (std::filesystem::temp_directory_path() / "fedpkd-no-such-dir").string();
+  ASSERT_FALSE(std::filesystem::exists(missing));
+  {
+    const ScopedEnv tmpdir("TMPDIR", missing);
+    try {
+      (void)pool.acquire(2);  // must evict 0 first
+      ADD_FAILURE() << "the eviction succeeded without a spill directory";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(missing), std::string::npos) << what;
+      EXPECT_NE(what.find(std::strerror(ENOENT)), std::string::npos) << what;
+      EXPECT_NE(what.find("errno " + std::to_string(ENOENT)),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(pool.spill_fd(), -1);
+  EXPECT_EQ(pool.warm_ids_lru(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(pool.stats().evictions, 0u);
+  std::vector<std::byte> after;
+  pool.save_state(after);
+  EXPECT_EQ(after, state);
+
+  // With the directory back, the same acquire evicts 0 into a new file.
+  (void)pool.acquire(2);
+  EXPECT_EQ(pool.warm_ids_lru(), (std::vector<std::size_t>{1, 2}));
+  EXPECT_GE(pool.spill_fd(), 0);
 }
 
 }  // namespace
