@@ -32,26 +32,10 @@ struct SyntheticVisionConfig {
   float obs_noise = 0.05f;   // additive noise after the warp
   std::uint64_t seed = 42;
 
-  /// Image mode: instead of a feature vector, each sample is rendered as a
-  /// flattened [image_channels, image_size, image_size] image (the latent
-  /// point is projected per pixel and then blurred with a fixed 3x3 kernel
-  /// so neighbouring pixels correlate — the structure convolutions exploit).
-  /// input_dim is ignored; the row width becomes channels*size*size.
-  bool image_mode = false;
-  std::size_t image_size = 8;
-  std::size_t image_channels = 3;
-
-  /// Effective sample width (input_dim, or the image size in image mode).
-  std::size_t sample_dim() const {
-    return image_mode ? image_channels * image_size * image_size : input_dim;
-  }
-
   /// "Synth-10" — CIFAR-10 stand-in.
   static SyntheticVisionConfig synth10(std::uint64_t seed = 42);
   /// "Synth-100" — CIFAR-100 stand-in (more classes, tighter spacing).
   static SyntheticVisionConfig synth100(std::uint64_t seed = 42);
-  /// "Synth-10img" — image-mode CIFAR-10 stand-in for the CNN model family.
-  static SyntheticVisionConfig synth10_images(std::uint64_t seed = 42);
 };
 
 /// Train/test/public splits of one synthetic task.

@@ -1,7 +1,5 @@
 #include "fedpkd/nn/activation.hpp"
 
-#include <cmath>
-
 namespace fedpkd::nn {
 
 namespace {
@@ -14,8 +12,6 @@ void map_range(const float* x, float* y, std::size_t begin, std::size_t end,
 }
 
 float relu(float v) { return v > 0.0f ? v : 0.0f; }
-
-float tanh_of(float v) { return std::tanh(v); }
 
 }  // namespace
 
@@ -44,27 +40,6 @@ void Relu::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
 
 std::unique_ptr<Module> Relu::clone() const {
   return std::make_unique<Relu>();
-}
-
-void Tanh::forward_eval_into(const Tensor& x, Tensor& out) {
-  out.ensure_shape(x.shape());
-  map_range(x.data(), out.data(), 0, x.numel(), tanh_of);
-}
-
-void Tanh::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
-  const std::size_t n = y_.cols();
-  map_range(x.data(), y_.data(), r0 * n, r1 * n, tanh_of);
-}
-
-void Tanh::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {
-  const std::size_t n = y_.cols();
-  for (std::size_t i = r0 * n; i < r1 * n; ++i) {
-    gx_[i] = gy[i] * (1.0f - y_[i] * y_[i]);
-  }
-}
-
-std::unique_ptr<Module> Tanh::clone() const {
-  return std::make_unique<Tanh>();
 }
 
 }  // namespace fedpkd::nn

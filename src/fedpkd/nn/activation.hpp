@@ -17,16 +17,4 @@ class Relu final : public Module {
   std::unique_ptr<Module> clone() const override;
 };
 
-/// Elementwise hyperbolic tangent: y = tanh(x).
-class Tanh final : public Module {
- public:
-  Tanh() = default;
-
-  void forward_eval_into(const Tensor& x, Tensor& out) override;
-  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
-  void backward_rows(const Tensor& gy, std::size_t r0,
-                     std::size_t r1) override;
-  std::unique_ptr<Module> clone() const override;
-};
-
 }  // namespace fedpkd::nn

@@ -41,7 +41,7 @@ struct GradJob {
 /// step on an [m, in] batch runs in three phases (see DESIGN.md §2):
 ///
 ///   1. prepare(m, in) — serial: shapes the step's output and input-gradient
-///      buffers (Dropout also draws its whole-batch mask here);
+///      buffers;
 ///   2. forward_rows / backward_rows over row ranges that partition [0, m) —
 ///      ranges of one phase may run concurrently, each writes only its own
 ///      rows of the module's buffers and never touches a parameter gradient;
@@ -66,7 +66,7 @@ class Module {
   /// train == true: the whole step's first two phases on one range — prepare,
   /// then forward_rows over all rows; returns a copy of output(). train ==
   /// false: forward_eval_into into a fresh tensor.
-  virtual Tensor forward(const Tensor& x, bool train = true);
+  Tensor forward(const Tensor& x, bool train = true);
 
   /// Backward over all rows, then every gradient job: accumulates (+=) the
   /// parameter gradients and returns dLoss/dInput. Must follow a

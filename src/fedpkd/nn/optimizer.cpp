@@ -23,25 +23,6 @@ void Optimizer::zero_grad() {
   for (Parameter* p : params_) p->grad.zero();
 }
 
-Sgd::Sgd(std::vector<Parameter*> params, Options opts)
-    : Optimizer(std::move(params)), opts_(opts) {
-  if (opts_.lr <= 0.0f) throw std::invalid_argument("Sgd: lr must be > 0");
-  velocity_.reserve(params_.size());
-  for (const Parameter* p : params_) {
-    velocity_.emplace_back(p->value.shape());
-  }
-}
-
-void Sgd::update(std::size_t i) {
-  Parameter& p = *params_[i];
-  Tensor& v = velocity_[i];
-  for (std::size_t k = 0; k < p.numel(); ++k) {
-    const float g = p.grad[k] + opts_.weight_decay * p.value[k];
-    v[k] = opts_.momentum * v[k] + g;
-    p.value[k] -= opts_.lr * v[k];
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params)
     : Adam(std::move(params), Options{}) {}
 
@@ -77,51 +58,6 @@ void Adam::update(std::size_t i) {
   Parameter& p = *params_[i];
   tensor::kernels::adam_update(p.value.data(), p.grad.data(), m_[i].data(),
                                v_[i].data(), p.numel(), s);
-}
-
-namespace {
-void check_lr(float lr, const char* who) {
-  if (lr <= 0.0f) {
-    throw std::invalid_argument(std::string(who) + ": lr must be > 0");
-  }
-}
-}  // namespace
-
-void Sgd::set_lr(float lr) {
-  check_lr(lr, "Sgd::set_lr");
-  opts_.lr = lr;
-}
-
-void Adam::set_lr(float lr) {
-  check_lr(lr, "Adam::set_lr");
-  opts_.lr = lr;
-}
-
-RmsProp::RmsProp(std::vector<Parameter*> params, Options opts)
-    : Optimizer(std::move(params)), opts_(opts) {
-  check_lr(opts_.lr, "RmsProp");
-  if (opts_.rho < 0.0f || opts_.rho >= 1.0f) {
-    throw std::invalid_argument("RmsProp: rho must be in [0, 1)");
-  }
-  v_.reserve(params_.size());
-  for (const Parameter* p : params_) {
-    v_.emplace_back(p->value.shape());
-  }
-}
-
-void RmsProp::update(std::size_t i) {
-  Parameter& p = *params_[i];
-  Tensor& v = v_[i];
-  for (std::size_t k = 0; k < p.numel(); ++k) {
-    const float g = p.grad[k] + opts_.weight_decay * p.value[k];
-    v[k] = opts_.rho * v[k] + (1.0f - opts_.rho) * g * g;
-    p.value[k] -= opts_.lr * g / (std::sqrt(v[k]) + opts_.eps);
-  }
-}
-
-void RmsProp::set_lr(float lr) {
-  check_lr(lr, "RmsProp::set_lr");
-  opts_.lr = lr;
 }
 
 void add_proximal_gradient(std::vector<Parameter*> params,

@@ -29,10 +29,6 @@ class Optimizer {
   /// parameter, so the updates of one step may run concurrently.
   virtual void update(std::size_t i) = 0;
 
-  /// Changes the learning rate used by subsequent steps (LrSchedule
-  /// integration point). Throws std::invalid_argument on lr <= 0.
-  virtual void set_lr(float lr) = 0;
-
   /// Zeroes all parameter gradients.
   void zero_grad();
 
@@ -40,25 +36,6 @@ class Optimizer {
 
  protected:
   std::vector<Parameter*> params_;
-};
-
-/// Mini-batch SGD with optional Nesterov-free momentum and decoupled L2
-/// weight decay:  v = momentum*v + g + wd*w;  w -= lr*v.
-class Sgd final : public Optimizer {
- public:
-  struct Options {
-    float lr = 0.01f;
-    float momentum = 0.0f;
-    float weight_decay = 0.0f;
-  };
-
-  Sgd(std::vector<Parameter*> params, Options opts);
-  void update(std::size_t i) override;
-  void set_lr(float lr) override;
-
- private:
-  Options opts_;
-  std::vector<Tensor> velocity_;
 };
 
 /// Adam (Kingma & Ba 2015) with bias correction; the optimizer the paper's
@@ -77,7 +54,6 @@ class Adam final : public Optimizer {
   Adam(std::vector<Parameter*> params, Options opts);
   void begin_step() override;
   void update(std::size_t i) override;
-  void set_lr(float lr) override;
 
  private:
   Options opts_;
@@ -86,27 +62,6 @@ class Adam final : public Optimizer {
   std::int64_t t_ = 0;
   float bc1_ = 1.0f;  // 1 - beta1^t
   float bc2_ = 1.0f;  // 1 - beta2^t
-};
-
-/// RMSProp (Tieleman & Hinton): per-parameter adaptive rate without Adam's
-/// first-moment tracking; useful on noisy distillation objectives.
-///   v = rho*v + (1-rho)*g^2;  w -= lr * g / (sqrt(v) + eps).
-class RmsProp final : public Optimizer {
- public:
-  struct Options {
-    float lr = 0.001f;
-    float rho = 0.9f;
-    float eps = 1e-8f;
-    float weight_decay = 0.0f;
-  };
-
-  RmsProp(std::vector<Parameter*> params, Options opts);
-  void update(std::size_t i) override;
-  void set_lr(float lr) override;
-
- private:
-  Options opts_;
-  std::vector<Tensor> v_;
 };
 
 /// Adds the FedProx proximal gradient mu * (w - w_ref) to each parameter's

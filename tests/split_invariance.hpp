@@ -1,7 +1,6 @@
-// Row-split invariance harness shared by test_nn and test_conv: runs a few
-// shared training steps (nn::TrainStep) of a model at 1, 2, 3 and 4 lanes and
-// checks that the weights and every step's loss are bitwise equal to the
-// 1-lane run.
+// Row-split invariance harness for test_nn: runs a few shared training steps
+// (nn::TrainStep) of a model at 1, 2, 3 and 4 lanes and checks that the
+// weights and every step's loss are bitwise equal to the 1-lane run.
 
 #pragma once
 
@@ -9,7 +8,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "fedpkd/exec/thread_pool.hpp"
@@ -23,9 +21,8 @@ namespace fedpkd::nn::split_testing {
 using tensor::Rng;
 using tensor::Tensor;
 
-enum class Update { kAdam, kSgd, kRmsProp, kAdamProx };
-constexpr Update kUpdates[] = {Update::kAdam, Update::kSgd, Update::kRmsProp,
-                               Update::kAdamProx};
+enum class Update { kAdam, kAdamProx };
+constexpr Update kUpdates[] = {Update::kAdam, Update::kAdamProx};
 
 struct StepTrace {
   Tensor weights;
@@ -39,24 +36,8 @@ inline StepTrace run_train_steps(const Classifier& init, Update update,
                                  std::size_t batch, bool feature_extra,
                                  std::size_t steps = 3) {
   Classifier model = init.clone();
-  std::unique_ptr<Optimizer> optimizer;
-  switch (update) {
-    case Update::kSgd:
-      optimizer = std::make_unique<Sgd>(
-          model.parameters(),
-          Sgd::Options{.lr = 0.05f, .momentum = 0.9f, .weight_decay = 1e-3f});
-      break;
-    case Update::kRmsProp:
-      optimizer = std::make_unique<RmsProp>(
-          model.parameters(),
-          RmsProp::Options{.lr = 1e-3f, .weight_decay = 1e-3f});
-      break;
-    case Update::kAdam:
-    case Update::kAdamProx:
-      optimizer = std::make_unique<Adam>(model.parameters());
-      break;
-  }
-  TrainStep step(model, *optimizer);
+  Adam optimizer(model.parameters());
+  TrainStep step(model, optimizer);
   const Tensor reference = model.flat_weights();
   if (update == Update::kAdamProx) step.set_proximal(reference, 0.5f);
 
@@ -97,9 +78,9 @@ inline bool same_bits(const StepTrace& a, const StepTrace& b) {
 }
 
 /// Lanes {1, 2, 3, 4} x `batches` x {without, with the feature extra} x
-/// {Adam, Sgd, RmsProp, Adam + FedProx}: every run must match its 1-lane run
-/// bit for bit. Lane counts go through exec::set_num_threads with the
-/// hardware clamp lifted, so hosts with fewer cores still split 3 and 4 ways.
+/// {Adam, Adam + FedProx}: every run must match its 1-lane run bit for bit.
+/// Lane counts go through exec::set_num_threads with the hardware clamp
+/// lifted, so hosts with fewer cores still split 3 and 4 ways.
 inline void expect_split_invariant(const Classifier& init,
                                    const std::vector<std::size_t>& batches) {
   setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);

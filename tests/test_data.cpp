@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -99,6 +100,40 @@ TEST(SyntheticVision, BundleIsDeterministic) {
                                        bb.train_pool.features),
             0.0f);
   EXPECT_EQ(ba.public_data.labels, bb.public_data.labels);
+}
+
+/// FNV-1a over a split's feature bits, then its labels.
+std::uint64_t split_digest(const Dataset& d) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ull;
+  };
+  mix(d.features.data(), d.features.numel() * sizeof(float));
+  mix(d.labels.data(), d.labels.size() * sizeof(int));
+  return h;
+}
+
+TEST(SyntheticVision, BundleBitsMatchRecordedDigests) {
+  // The generator's output, bit for bit: every golden trace and benchmark
+  // digest downstream depends on it.
+  struct Case {
+    SyntheticVisionConfig config;
+    std::uint64_t train, test, pub;
+  };
+  const Case cases[] = {
+      {SyntheticVisionConfig::synth10(42), 0x523c63f0339ff9ebull,
+       0xf6c0845a53e6a6c4ull, 0x71b2ea581439c21eull},
+      {SyntheticVisionConfig::synth100(42), 0xfc789fa7f8e95d97ull,
+       0x3170b44d7947ad83ull, 0x2b76ed30a71cc46full},
+  };
+  for (const Case& c : cases) {
+    const auto b = SyntheticVision(c.config).make_bundle(300, 200, 250);
+    EXPECT_EQ(b.train_pool.size(), 300u);
+    EXPECT_EQ(split_digest(b.train_pool), c.train) << c.config.num_classes;
+    EXPECT_EQ(split_digest(b.test_global), c.test) << c.config.num_classes;
+    EXPECT_EQ(split_digest(b.public_data), c.pub) << c.config.num_classes;
+  }
 }
 
 TEST(SyntheticVision, DifferentSeedsDifferentData) {

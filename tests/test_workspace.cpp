@@ -18,10 +18,7 @@
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/client.hpp"
 #include "fedpkd/fl/trainer.hpp"
-#include "fedpkd/nn/activation.hpp"
-#include "fedpkd/nn/dropout.hpp"
 #include "fedpkd/nn/model_zoo.hpp"
-#include "fedpkd/nn/sequential.hpp"
 #include "fedpkd/tensor/ops.hpp"
 #include "fedpkd/tensor/tensor.hpp"
 #include "fedpkd/tensor/workspace.hpp"
@@ -372,29 +369,6 @@ TEST(InferenceLanes, LogitsAndFeaturesAreLaneInvariantAndAllocateOnlyTheOutput) 
     EXPECT_TRUE(bitwise_equal(logits, whole_logits)) << lanes << " lanes";
     EXPECT_TRUE(bitwise_equal(features, whole_features)) << lanes << " lanes";
   }
-  exec::set_num_threads(lanes_before);
-}
-
-/// Inference writes no module state, so lanes may share one model. Dropout
-/// once reshaped its step buffers in every inference pass, a data race once
-/// the lanes run the same layer; now it is a pure copy.
-TEST(InferenceLanes, DropoutModelInfersOnSharedLanes) {
-  Rng rng(53);
-  auto body = std::make_unique<nn::Sequential>();
-  body->add(std::make_unique<nn::Linear>(8, 16, rng, "fc"));
-  body->add(std::make_unique<nn::Relu>());
-  body->add(std::make_unique<nn::Dropout>(0.5f, Rng(54)));
-  nn::Classifier model("dropout-mlp", std::move(body),
-                       std::make_unique<nn::Linear>(16, 4, rng, "head"), 8);
-  // 2400 rows: enough that the cost grain of this small model splits them
-  // across all four lanes.
-  const Tensor x = Tensor::randn({2400, 8}, rng);
-  Tensor whole;
-  model.logits_into(x, whole);
-
-  const std::size_t lanes_before = exec::num_threads();
-  exec::set_num_threads(4);
-  EXPECT_TRUE(bitwise_equal(fl::compute_logits(model, x, 16), whole));
   exec::set_num_threads(lanes_before);
 }
 
