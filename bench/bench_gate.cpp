@@ -307,6 +307,7 @@ bool gated_op(const std::string& op) {
          op.rfind("fault:", 0) == 0 || op.rfind("scale:", 0) == 0 ||
          op.rfind("async:", 0) == 0 || op.rfind("recovery:", 0) == 0 ||
          op.rfind("BM_ClientModelBuild/", 0) == 0 ||
+         op.rfind("BM_ForwardBatch32/", 0) == 0 ||
          op.rfind("BM_MatmulReluSparse", 0) == 0 ||
          op.rfind("BM_MatmulTransposeB/", 0) == 0 ||
          op.rfind("BM_ReluBackward", 0) == 0 ||

@@ -7,7 +7,6 @@ namespace fedpkd::fl {
 TrainStats Client::train_local(TrainOptions options) {
   options.batch_size = config.batch_size;
   options.lr = config.lr;
-  options.num_threads = config.num_threads;
   return train_supervised(model, train_data, options, rng);
 }
 
@@ -15,7 +14,6 @@ TrainStats Client::digest(const DistillSet& set, float gamma,
                           TrainOptions options, float temperature) {
   options.batch_size = config.batch_size;
   options.lr = config.lr;
-  options.num_threads = config.num_threads;
   return train_distill(model, set, gamma, options, rng, temperature);
 }
 

@@ -19,10 +19,6 @@ struct ClientConfig {
   std::size_t public_epochs = 1;  // e_{c,p}: epochs on public knowledge
   std::size_t batch_size = 32;
   float lr = 1e-3f;
-  /// Cap on intra-op (matmul) threads while this client trains; 0 = inherit
-  /// the federation-wide exec::num_threads setting. Models a device that
-  /// owns fewer cores than the server. Never changes results, only speed.
-  std::size_t num_threads = 0;
 };
 
 /// One federated client: its private train/test split, its (possibly unique)

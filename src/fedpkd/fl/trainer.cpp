@@ -81,7 +81,6 @@ TrainStats train_supervised(Classifier& model, const data::Dataset& dataset,
   if (dataset.empty()) {
     throw std::invalid_argument("train_supervised: empty dataset");
   }
-  exec::ScopedThreadLimit thread_limit(options.num_threads);
   nn::Adam optimizer(model.parameters(), {.lr = options.lr});
   nn::TrainStep step(model, optimizer);
   const Tensor reference =
@@ -141,7 +140,6 @@ TrainStats train_distill(Classifier& model, const DistillSet& set, float gamma,
   if (set.inputs.rows() == 0) {
     throw std::invalid_argument("train_distill: empty distill set");
   }
-  exec::ScopedThreadLimit thread_limit(options.num_threads);
   // Wrap the distill set as a Dataset so DataLoader handles shuffling; the
   // teacher rows are re-gathered per batch by index.
   data::Dataset wrapper(set.inputs, set.pseudo_labels,
@@ -190,10 +188,10 @@ namespace {
 constexpr std::size_t kLaneTileRows = 32;
 
 /// `into` (logits_into or features_into) over every row of `inputs`, with
-/// one fork per call: each lane runs the whole network over its share of the
-/// rows, tile by tile, through its own thread-local EvalScratch, so nested
-/// dispatch_rows run inline. Rows are independent, so the result is bitwise
-/// independent of the split and the tiles; a warm call allocates only `out`.
+/// one fork per call: each lane runs the whole network's row kernels over
+/// its share of the rows, tile by tile, through its own thread-local
+/// EvalScratch. Rows are independent, so the result is bitwise independent
+/// of the split and the tiles; a warm call allocates only `out`.
 Tensor batched_apply(Classifier& model, const Tensor& inputs,
                      std::size_t batch_size, std::size_t out_cols,
                      void (Classifier::*into)(const Tensor&, Tensor&)) {

@@ -29,11 +29,6 @@ struct TrainOptions {
   std::size_t epochs = 1;
   std::size_t batch_size = 32;
   float lr = 1e-3f;
-  /// exec::ScopedThreadLimit applied for the duration of the call: caps how
-  /// many threads this training session's tensor ops may fan out to.
-  /// 0 = no cap beyond the global exec::num_threads setting. Has no effect
-  /// on results, only on scheduling.
-  std::size_t num_threads = 0;
   std::optional<float> proximal_mu;
   /// [num_classes, feature_dim] prototype matrix; rows for absent classes may
   /// be arbitrary if `prototype_class_present` marks them false.

@@ -15,14 +15,10 @@ float relu(float v) { return v > 0.0f ? v : 0.0f; }
 
 }  // namespace
 
-void Relu::forward_eval_into(const Tensor& x, Tensor& out) {
-  out.ensure_shape(x.shape());
-  map_range(x.data(), out.data(), 0, x.numel(), relu);
-}
-
-void Relu::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
-  const std::size_t n = y_.cols();
-  map_range(x.data(), y_.data(), r0 * n, r1 * n, relu);
+void Relu::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                        Tensor* out) {
+  const std::size_t n = x.cols();
+  map_range(x.data(), rows_out(out).data(), r0 * n, r1 * n, relu);
 }
 
 void Relu::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {

@@ -9,8 +9,8 @@ class Relu final : public Module {
  public:
   Relu() = default;
 
-  void forward_eval_into(const Tensor& x, Tensor& out) override;
-  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                    Tensor* out = nullptr) override;
   /// Masks with y > 0, which holds exactly where x > 0.
   void backward_rows(const Tensor& gy, std::size_t r0,
                      std::size_t r1) override;

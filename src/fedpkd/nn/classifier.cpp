@@ -71,14 +71,14 @@ void Classifier::logits_into(const Tensor& x, Tensor& out) {
   check_input(x, "Classifier::logits_into");
   check_drawn("Classifier::logits_into");
   EvalScratch scratch;
-  body_->forward_eval_into(x, scratch.a());
-  head_->forward_eval_into(scratch.a(), out);
+  body_->infer(x, scratch.a());
+  head_->infer(scratch.a(), out);
 }
 
 void Classifier::features_into(const Tensor& x, Tensor& out) {
   check_input(x, "Classifier::features_into");
   check_drawn("Classifier::features_into");
-  body_->forward_eval_into(x, out);
+  body_->infer(x, out);
 }
 
 void Classifier::backward(const Tensor& grad_logits,

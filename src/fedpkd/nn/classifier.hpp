@@ -49,9 +49,10 @@ class Classifier {
   Tensor forward(const Tensor& x, bool train = true);
 
   /// Inference-only logits written into `out` (allocation-free after
-  /// warm-up). Bitwise equal to forward(x, /*train=*/false). Writes no
-  /// module state, so it can be interleaved with training passes and run on
-  /// several lanes over one model at once. `out` must not alias `x`.
+  /// warm-up). Runs the training pass's row kernels, so it is bitwise equal
+  /// to forward(x) with either `train`. Writes no module state, so it can be
+  /// interleaved with training passes and run on several lanes over one
+  /// model at once. `out` must not alias `x`.
   /// Throws std::logic_error while the initial weights are pending.
   void logits_into(const Tensor& x, Tensor& out);
   /// The features twin of logits_into: R_w(x) written into `out`.

@@ -53,30 +53,28 @@ void LayerNorm::normalize_rows(const Tensor& x, float* y, float* xhat,
   }
 }
 
-void LayerNorm::forward_eval_into(const Tensor& x, Tensor& out) {
-  if (x.rank() != 2 || x.cols() != features_) {
+std::size_t LayerNorm::out_cols(std::size_t in_cols) const {
+  if (in_cols != features_) {
     throw std::invalid_argument("LayerNorm::forward: expected [batch, " +
-                                std::to_string(features_) + "], got " +
-                                x.shape_string());
+                                std::to_string(features_) + "], got [batch, " +
+                                std::to_string(in_cols) + "]");
   }
-  out.ensure_shape(x.shape());
-  normalize_rows(x, out.data(), nullptr, nullptr, 0, x.rows());
+  return features_;
 }
 
 void LayerNorm::prepare(std::size_t m, std::size_t in_cols) {
-  if (in_cols != features_) {
-    throw std::invalid_argument("LayerNorm::forward: expected [batch, " +
-                                std::to_string(features_) + "], got [" +
-                                std::to_string(m) + ", " +
-                                std::to_string(in_cols) + "]");
-  }
-  Module::prepare(m, features_);
+  Module::prepare(m, in_cols);
   xhat_.ensure_shape({m, features_});
   inv_std_.ensure_shape({m});
 }
 
-void LayerNorm::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
-  normalize_rows(x, y_.data(), xhat_.data(), inv_std_.data(), r0, r1);
+void LayerNorm::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                             Tensor* out) {
+  if (out != nullptr) {
+    normalize_rows(x, out->data(), nullptr, nullptr, r0, r1);
+  } else {
+    normalize_rows(x, y_.data(), xhat_.data(), inv_std_.data(), r0, r1);
+  }
 }
 
 void LayerNorm::backward_rows(const Tensor& gy, std::size_t r0,

@@ -16,9 +16,10 @@ class LayerNorm final : public Module {
   explicit LayerNorm(std::size_t features, float eps = 1e-5f,
                      std::string name = "layer_norm");
 
-  void forward_eval_into(const Tensor& x, Tensor& out) override;
+  std::size_t out_cols(std::size_t in_cols) const override;
   void prepare(std::size_t m, std::size_t in_cols) override;
-  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                    Tensor* out = nullptr) override;
   void backward_rows(const Tensor& gy, std::size_t r0,
                      std::size_t r1) override;
   void collect_grad_jobs(std::vector<GradJob>& out) override;

@@ -35,31 +35,21 @@ void Linear::draw_init(Rng& rng) {
 Linear::Linear(std::size_t in, std::size_t out, Parameter w, Parameter b)
     : in_(in), out_(out), weight_(std::move(w)), bias_(std::move(b)) {}
 
-void Linear::forward_eval_into(const Tensor& x, Tensor& out) {
-  if (x.rank() != 2 || x.cols() != in_) {
-    throw std::invalid_argument("Linear::forward: expected [batch, " +
-                                std::to_string(in_) + "], got " +
-                                x.shape_string());
-  }
-  tensor::matmul_bias_into(x, weight_.value, bias_.value, out);
-}
-
-void Linear::prepare(std::size_t m, std::size_t in_cols) {
+std::size_t Linear::out_cols(std::size_t in_cols) const {
   if (in_cols != in_) {
     throw std::invalid_argument("Linear::forward: expected [batch, " +
-                                std::to_string(in_) + "], got [" +
-                                std::to_string(m) + ", " +
+                                std::to_string(in_) + "], got [batch, " +
                                 std::to_string(in_cols) + "]");
   }
-  y_.ensure_shape({m, out_});
-  gx_.ensure_shape({m, in_});
+  return out_;
 }
 
-void Linear::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
-  if (r0 == 0) x_ = &x;
+void Linear::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                          Tensor* out) {
+  if (out == nullptr && r0 == 0) x_ = &x;
   tensor::kernels::matmul_bias_rows(x.data(), weight_.value.data(),
-                                    bias_.value.data(), y_.data(), in_, out_,
-                                    r0, r1);
+                                    bias_.value.data(), rows_out(out).data(),
+                                    in_, out_, r0, r1);
 }
 
 void Linear::backward_rows(const Tensor& gy, std::size_t r0, std::size_t r1) {

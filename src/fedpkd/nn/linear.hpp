@@ -18,9 +18,9 @@ class Linear final : public Module {
   /// Overwrites W with the He draws the Rng constructor makes from `rng`.
   void draw_init(Rng& rng);
 
-  void forward_eval_into(const Tensor& x, Tensor& out) override;
-  void prepare(std::size_t m, std::size_t in_cols) override;
-  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  std::size_t out_cols(std::size_t in_cols) const override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                    Tensor* out = nullptr) override;
   void backward_rows(const Tensor& gy, std::size_t r0,
                      std::size_t r1) override;
   void collect_grad_jobs(std::vector<GradJob>& out) override;

@@ -27,20 +27,34 @@ EvalScratch::EvalScratch() {
 
 EvalScratch::~EvalScratch() { --t_eval_depth; }
 
-Tensor Module::forward(const Tensor& x, bool train) {
-  if (!train) {
-    Tensor out;
-    forward_eval_into(x, out);
-    return out;
-  }
+namespace {
+
+void check_batch(const Tensor& x) {
   if (x.rank() != 2) {
     throw std::invalid_argument(
         "Module::forward: expected [batch, features], got " +
         x.shape_string());
   }
+}
+
+}  // namespace
+
+Tensor Module::forward(const Tensor& x, bool train) {
+  if (!train) {
+    Tensor out;
+    infer(x, out);
+    return out;
+  }
+  check_batch(x);
   prepare(x.rows(), x.cols());
   forward_rows(x, 0, x.rows());
   return output();
+}
+
+void Module::infer(const Tensor& x, Tensor& out) {
+  check_batch(x);
+  out.ensure_shape({x.rows(), out_cols(x.cols())});
+  forward_rows(x, 0, x.rows(), &out);
 }
 
 Tensor Module::backward(const Tensor& grad_out) {
@@ -60,8 +74,10 @@ Tensor Module::backward(const Tensor& grad_out) {
   return input_grad();
 }
 
+std::size_t Module::out_cols(std::size_t in_cols) const { return in_cols; }
+
 void Module::prepare(std::size_t m, std::size_t in_cols) {
-  y_.ensure_shape({m, in_cols});
+  y_.ensure_shape({m, out_cols(in_cols)});
   gx_.ensure_shape({m, in_cols});
 }
 

@@ -37,8 +37,9 @@ struct GradJob {
 
 /// Base class for differentiable layers.
 ///
-/// The library uses layer-wise backpropagation rather than a tape. A training
-/// step on an [m, in] batch runs in three phases (see DESIGN.md §2):
+/// The library uses layer-wise backpropagation rather than a tape. Each layer
+/// has one forward, the row kernel forward_rows. A training step on an
+/// [m, in] batch runs in three phases (see DESIGN.md §2):
 ///
 ///   1. prepare(m, in) — serial: shapes the step's output and input-gradient
 ///      buffers;
@@ -48,12 +49,17 @@ struct GradJob {
 ///   3. one gradient job per parameter (collect_grad_jobs), reading the
 ///      full-batch input and output gradient after every row range finished.
 ///
+/// Inference (infer) runs the same forward_rows into a tensor it is handed
+/// and writes no module state: several lanes may run it over one model at
+/// once, and it leaves the step buffers of a training step as they were.
+///
 /// Every row of a phase is computed by row-independent kernels and every
 /// parameter gradient by one full-batch job in ascending row order, so the
-/// result is bitwise independent of how the rows were split. A module keeps
-/// only pointers to its input and output gradient, so both must stay alive
-/// until the gradient jobs ran; one step is in flight per module, and the
-/// buffers stay until release_step_buffers().
+/// result is bitwise independent of how the rows were split, and inference
+/// equals the training forward bit for bit. A module keeps only pointers to
+/// its input and output gradient, so both must stay alive until the gradient
+/// jobs ran; one step is in flight per module, and the buffers stay until
+/// release_step_buffers().
 class Module {
  public:
   Module() = default;
@@ -65,7 +71,7 @@ class Module {
 
   /// train == true: the whole step's first two phases on one range — prepare,
   /// then forward_rows over all rows; returns a copy of output(). train ==
-  /// false: forward_eval_into into a fresh tensor.
+  /// false: infer() into a fresh tensor.
   Tensor forward(const Tensor& x, bool train = true);
 
   /// Backward over all rows, then every gradient job: accumulates (+=) the
@@ -73,26 +79,31 @@ class Module {
   /// forward(x, /*train=*/true) whose `x` is still alive.
   Tensor backward(const Tensor& grad_out);
 
-  /// Inference pass that writes into a caller-provided tensor instead of
-  /// returning a fresh one, so steady-state evaluation (public-set logits
-  /// every round) reuses the same buffers and allocates nothing after
-  /// warm-up. `out` must not alias `x`. Writes no module state: several
-  /// lanes may run it over one model at once, and it leaves the step
-  /// buffers of a training step as they were.
-  virtual void forward_eval_into(const Tensor& x, Tensor& out) = 0;
+  /// Inference into a caller-provided tensor: shapes `out` to
+  /// [x.rows(), out_cols(x.cols())] and runs forward_rows over every row
+  /// into it, so steady-state evaluation (public-set logits every round)
+  /// reuses the same buffers and allocates nothing after warm-up. `out` must
+  /// not alias `x`. Writes no module state.
+  void infer(const Tensor& x, Tensor& out);
 
-  /// -- Row-phased training step ----------------------------------------------
+  /// -- The row kernel and the training step ---------------------------------
 
-  /// Shapes the step buffers for an [m, in_cols] input. Serial. Throws
+  /// The output width for an input of `in_cols` columns. Throws
   /// std::invalid_argument on a width the layer cannot take. The default
   /// suits layers whose output has their input's shape.
+  virtual std::size_t out_cols(std::size_t in_cols) const;
+
+  /// Shapes the step buffers for an [m, in_cols] input: output() to
+  /// [m, out_cols(in_cols)], input_grad() to [m, in_cols]. Serial.
   virtual void prepare(std::size_t m, std::size_t in_cols);
 
-  /// Writes rows [r0, r1) of output() from the full-batch input `x` (the same
-  /// tensor for every range of a step). The range starting at row 0 records
-  /// `x` for the gradient jobs.
-  virtual void forward_rows(const Tensor& x, std::size_t r0,
-                            std::size_t r1) = 0;
+  /// Writes rows [r0, r1) of the output from the full-batch input `x` (the
+  /// same tensor for every range of a pass). With `out` null (training) the
+  /// rows go to output() and the range starting at row 0 records `x` for the
+  /// gradient jobs; otherwise they go to `*out`, already shaped to
+  /// [x.rows(), out_cols(x.cols())], and no module state is written.
+  virtual void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                            Tensor* out = nullptr) = 0;
 
   /// Writes rows [r0, r1) of input_grad() from the full-batch output
   /// gradient `gy`. The range starting at row 0 records `gy` for the
@@ -130,11 +141,15 @@ class Module {
   std::size_t parameter_count();
 
  protected:
+  /// Where forward_rows writes: `*out`, or the step output when `out` is
+  /// null.
+  Tensor& rows_out(Tensor* out) { return out != nullptr ? *out : y_; }
+
   Tensor y_;   // [m, out] step output
   Tensor gx_;  // [m, in] step input gradient
 };
 
-/// Hop buffers for forward_eval_into chains (Sequential, Residual,
+/// Hop buffers for inference chains (Sequential, Residual,
 /// Classifier::logits_into, the lanes of fl::compute_logits). Each live
 /// EvalScratch on a thread holds its own nesting level of a per-thread pool,
 /// so nested chains never alias, while sibling blocks at one depth reuse the

@@ -1,5 +1,6 @@
 #include "fedpkd/nn/residual.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 namespace fedpkd::nn {
@@ -8,37 +9,35 @@ Residual::Residual(std::unique_ptr<Module> inner) : inner_(std::move(inner)) {
   if (!inner_) throw std::invalid_argument("Residual: null inner module");
 }
 
-void Residual::forward_eval_into(const Tensor& x, Tensor& out) {
-  EvalScratch scratch;
-  Tensor& fx = scratch.a();
-  inner_->forward_eval_into(x, fx);
-  if (!fx.same_shape(x)) {
+std::size_t Residual::out_cols(std::size_t in_cols) const {
+  const std::size_t inner_cols = inner_->out_cols(in_cols);
+  if (inner_cols != in_cols) {
     throw std::invalid_argument(
-        "Residual::forward: inner module changed shape " + x.shape_string() +
-        " -> " + fx.shape_string());
+        "Residual::forward: inner module changed width " +
+        std::to_string(in_cols) + " -> " + std::to_string(inner_cols));
   }
-  out.ensure_shape(x.shape());
-  // Same operand order as the training pass: f(x) + x.
-  for (std::size_t i = 0; i < x.numel(); ++i) out[i] = fx[i] + x[i];
+  return in_cols;
 }
 
 void Residual::prepare(std::size_t m, std::size_t in_cols) {
-  inner_->prepare(m, in_cols);
-  const Tensor& fx = inner_->output();
-  if (fx.rows() != m || fx.cols() != in_cols) {
-    throw std::invalid_argument(
-        "Residual::forward: inner module changed shape [" +
-        std::to_string(m) + ", " + std::to_string(in_cols) + "] -> " +
-        fx.shape_string());
-  }
   Module::prepare(m, in_cols);
+  inner_->prepare(m, in_cols);
 }
 
-void Residual::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
-  inner_->forward_rows(x, r0, r1);
-  const Tensor& fx = inner_->output();
-  const std::size_t n = y_.cols();
-  for (std::size_t i = r0 * n; i < r1 * n; ++i) y_[i] = fx[i] + x[i];
+void Residual::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                            Tensor* out) {
+  std::optional<EvalScratch> scratch;
+  Tensor* fx_out = nullptr;
+  if (out != nullptr) {
+    scratch.emplace();
+    fx_out = &scratch->a();
+    fx_out->ensure_shape(x.shape());
+  }
+  inner_->forward_rows(x, r0, r1, fx_out);
+  const Tensor& fx = fx_out != nullptr ? *fx_out : inner_->output();
+  Tensor& y = rows_out(out);
+  const std::size_t n = x.cols();
+  for (std::size_t i = r0 * n; i < r1 * n; ++i) y[i] = fx[i] + x[i];
 }
 
 void Residual::backward_rows(const Tensor& gy, std::size_t r0,

@@ -1,6 +1,7 @@
 #include "fedpkd/nn/sequential.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace fedpkd::nn {
@@ -18,25 +19,9 @@ Sequential& Sequential::add(std::unique_ptr<Module> layer) {
   return *this;
 }
 
-void Sequential::forward_eval_into(const Tensor& x, Tensor& out) {
-  if (layers_.empty()) {
-    out = x;
-    return;
-  }
-  // Intermediate hops ping-pong between two scratch buffers; only the last
-  // layer writes the caller's tensor. Each layer's eval math is untouched, so
-  // the chain is bitwise equal to running the layers one at a time.
-  EvalScratch scratch;
-  const Tensor* cur = &x;
-  Tensor* hop[2] = {&scratch.a(), &scratch.b()};
-  std::size_t parity = 0;
-  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    Tensor& dst = *hop[parity];
-    parity ^= 1;
-    layers_[i]->forward_eval_into(*cur, dst);
-    cur = &dst;
-  }
-  layers_.back()->forward_eval_into(*cur, out);
+std::size_t Sequential::out_cols(std::size_t in_cols) const {
+  for (const auto& l : layers_) in_cols = l->out_cols(in_cols);
+  return in_cols;
 }
 
 void Sequential::prepare(std::size_t m, std::size_t in_cols) {
@@ -52,18 +37,28 @@ void Sequential::prepare(std::size_t m, std::size_t in_cols) {
 }
 
 void Sequential::forward_rows(const Tensor& x, std::size_t r0,
-                              std::size_t r1) {
+                              std::size_t r1, Tensor* out) {
   if (layers_.empty()) {
-    const std::size_t n = y_.cols();
-    std::copy(x.data() + r0 * n, x.data() + r1 * n, y_.data() + r0 * n);
+    const std::size_t n = x.cols();
+    std::copy(x.data() + r0 * n, x.data() + r1 * n,
+              rows_out(out).data() + r0 * n);
     return;
   }
-  // Each layer reads the previous layer's output buffer: the chain itself
-  // neither copies nor allocates.
+  // Training: each layer reads the previous layer's output buffer, so the
+  // chain itself neither copies nor allocates. Inference: the hops alternate
+  // between two scratch buffers that stay warm across calls.
+  std::optional<EvalScratch> scratch;
+  if (out != nullptr) scratch.emplace();
   const Tensor* cur = &x;
-  for (auto& l : layers_) {
-    l->forward_rows(*cur, r0, r1);
-    cur = &l->output();
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    Module& layer = *layers_[i];
+    Tensor* dst = out;
+    if (out != nullptr && i + 1 < layers_.size()) {
+      dst = i % 2 == 0 ? &scratch->a() : &scratch->b();
+      dst->ensure_shape({x.rows(), layer.out_cols(cur->cols())});
+    }
+    layer.forward_rows(*cur, r0, r1, dst);
+    cur = dst != nullptr ? dst : &layer.output();
   }
 }
 

@@ -17,9 +17,10 @@ class Sequential final : public Module {
   /// Appends a layer; returns *this for builder-style chaining.
   Sequential& add(std::unique_ptr<Module> layer);
 
-  void forward_eval_into(const Tensor& x, Tensor& out) override;
+  std::size_t out_cols(std::size_t in_cols) const override;
   void prepare(std::size_t m, std::size_t in_cols) override;
-  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override;
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                    Tensor* out = nullptr) override;
   void backward_rows(const Tensor& gy, std::size_t r0,
                      std::size_t r1) override;
   /// The last layer's output and the first layer's input gradient; an

@@ -129,47 +129,17 @@ void dispatch_rows(std::size_t m, std::size_t k, std::size_t n, F&& rows) {
 
 }  // namespace
 
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
+Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.cols() != b.rows()) {
     throw std::invalid_argument("matmul: incompatible shapes " +
                                 a.shape_string() + " x " + b.shape_string());
   }
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  out.ensure_shape({m, n});
+  Tensor out({m, n});
   dispatch_rows(m, k, n, [&](std::size_t row_begin, std::size_t row_end) {
     kernels::matmul_rows(a.data(), b.data(), out.data(), k, n, row_begin,
                          row_end);
   });
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  Tensor out;
-  matmul_into(a, b, out);
-  return out;
-}
-
-void matmul_bias_into(const Tensor& a, const Tensor& b, const Tensor& bias,
-                      Tensor& out) {
-  if (a.rank() != 2 || b.rank() != 2 || a.cols() != b.rows()) {
-    throw std::invalid_argument("matmul_bias: incompatible shapes " +
-                                a.shape_string() + " x " + b.shape_string());
-  }
-  if (bias.rank() != 1 || bias.dim(0) != b.cols()) {
-    throw std::invalid_argument("matmul_bias: bias shape " +
-                                bias.shape_string() + " does not match " +
-                                b.shape_string());
-  }
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  out.ensure_shape({m, n});
-  dispatch_rows(m, k, n, [&](std::size_t row_begin, std::size_t row_end) {
-    kernels::matmul_bias_rows(a.data(), b.data(), bias.data(), out.data(), k,
-                              n, row_begin, row_end);
-  });
-}
-
-Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor& bias) {
-  Tensor out;
-  matmul_bias_into(a, b, bias, out);
   return out;
 }
 
@@ -230,18 +200,13 @@ Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void transpose_into(const Tensor& a, Tensor& out) {
+Tensor transpose(const Tensor& a) {
   if (a.rank() != 2) {
     throw std::invalid_argument("transpose: need rank-2, got " +
                                 a.shape_string());
   }
-  out.ensure_shape({a.cols(), a.rows()});
+  Tensor out({a.cols(), a.rows()});
   kernels::transpose_blocked(a.data(), out.data(), a.rows(), a.cols());
-}
-
-Tensor transpose(const Tensor& a) {
-  Tensor out;
-  transpose_into(a, out);
   return out;
 }
 
@@ -383,19 +348,13 @@ void softmax_rows_inplace(Tensor& logits, float temperature) {
   softmax_rows_into(logits, logits, temperature);
 }
 
-void log_softmax_rows_into(const Tensor& logits, Tensor& out,
-                           float temperature) {
+Tensor log_softmax_rows(const Tensor& logits, float temperature) {
   if (temperature <= 0.0f) {
     throw std::invalid_argument("log_softmax_rows: temperature must be > 0");
   }
-  const std::size_t m = logits.rows(), n = logits.cols();
-  if (&out != &logits) out.ensure_shape(logits.shape());
-  kernels::log_softmax_rows(logits.data(), out.data(), m, n, temperature);
-}
-
-Tensor log_softmax_rows(const Tensor& logits, float temperature) {
-  Tensor out;
-  log_softmax_rows_into(logits, out, temperature);
+  Tensor out(logits.shape());
+  kernels::log_softmax_rows(logits.data(), out.data(), logits.rows(),
+                            logits.cols(), temperature);
   return out;
 }
 

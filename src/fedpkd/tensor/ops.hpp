@@ -46,12 +46,6 @@ Tensor mul_row_vector(const Tensor& a, const Tensor& v);
 
 /// C = A x B for rank-2 A [m,k] and B [k,n].
 Tensor matmul(const Tensor& a, const Tensor& b);
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
-/// C = A x B + bias broadcast over rows (fused Linear forward; bitwise equal
-/// to add_row_vector(matmul(a, b), bias)).
-Tensor matmul_bias(const Tensor& a, const Tensor& b, const Tensor& bias);
-void matmul_bias_into(const Tensor& a, const Tensor& b, const Tensor& bias,
-                      Tensor& out);
 /// C = A^T x B for rank-2 A [k,m] and B [k,n] (used for weight gradients).
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 /// out += A^T x B (fused weight-gradient accumulation; bitwise equal to
@@ -63,7 +57,6 @@ Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
 void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out);
 /// Rank-2 transpose (tiled; see kernels.hpp).
 Tensor transpose(const Tensor& a);
-void transpose_into(const Tensor& a, Tensor& out);
 
 /// -- Reductions ---------------------------------------------------------------
 
@@ -106,8 +99,6 @@ void softmax_rows_into(const Tensor& logits, Tensor& out,
 void softmax_rows_inplace(Tensor& logits, float temperature = 1.0f);
 /// Row-wise log-softmax (stable).
 Tensor log_softmax_rows(const Tensor& logits, float temperature = 1.0f);
-void log_softmax_rows_into(const Tensor& logits, Tensor& out,
-                           float temperature = 1.0f);
 /// Mean over rows of KL(p_row || q_row); both are row-stochastic rank-2.
 float kl_divergence_rows(const Tensor& p, const Tensor& q);
 /// Shannon entropy (nats) of each row of a row-stochastic tensor.

@@ -783,6 +783,89 @@ TEST(DeferredInit, ComputeLogitsOnAPendingModelMatchesEagerAtOneAndFourLanes) {
   exec::set_num_threads(1);
 }
 
+// ------------------------------------------ Inference against training ---
+
+TEST(InferenceForward, EqualsTheTrainingForwardBitwise) {
+  // logits_into/features_into run the training pass's row kernels into
+  // EvalScratch hop buffers instead of the step buffers: same bits.
+  for (const std::string& arch : known_archs()) {
+    Rng rng(60);
+    Classifier model = make_classifier(arch, 24, 10, rng);
+    for (const std::size_t batch : {1u, 7u, 33u}) {
+      const Tensor x = Tensor::randn({batch, 24}, rng);
+      const Tensor train_logits = model.forward(x, true);
+      const Tensor train_features = model.last_features();
+      Tensor logits, features;
+      model.logits_into(x, logits);
+      model.features_into(x, features);
+      EXPECT_TRUE(identical(logits, train_logits))
+          << arch << " batch=" << batch;
+      EXPECT_TRUE(identical(features, train_features))
+          << arch << " batch=" << batch;
+    }
+  }
+}
+
+/// One Adam TrainStep of a copy of `init` on (x, y) at the current lane
+/// count. With `probe` non-null, logits_into and features_into run on it
+/// between the step's forward and its loss. Returns every parameter
+/// gradient, then every weight, of the copy after the step.
+std::vector<float> step_around_inference(const Classifier& init,
+                                         const Tensor& x,
+                                         const std::vector<int>& y,
+                                         const Tensor* probe) {
+  Classifier model = init.clone();
+  Adam adam(model.parameters());
+  {
+    TrainStep step(model, adam);
+    step.run(x, [&](const Tensor& logits, const Tensor&) {
+      if (probe != nullptr) {
+        Tensor probe_logits, probe_features;
+        model.logits_into(*probe, probe_logits);
+        model.features_into(*probe, probe_features);
+      }
+      LossResult ce = softmax_cross_entropy(logits, y);
+      return StepLoss{ce.value, std::move(ce.grad)};
+    });
+  }
+  std::vector<float> out;
+  for (Parameter* p : model.parameters()) {
+    out.insert(out.end(), p->grad.flat().begin(), p->grad.flat().end());
+  }
+  const Tensor weights = model.flat_weights();
+  out.insert(out.end(), weights.flat().begin(), weights.flat().end());
+  return out;
+}
+
+TEST(InferenceForward, InsideATrainingStepChangesNothing) {
+  // Inference writes no module state: neither a step buffer the loss or the
+  // backward reads, nor a recorded input (Linear's x for its weight job).
+  // The probe batch has other rows and values, so any such write shows.
+  setenv("FEDPKD_THREADS_OVERSUBSCRIBE", "1", 1);
+  for (const char* arch : {"resmlp11", "resmlp56"}) {
+    Rng rng(61);
+    const Classifier init = make_classifier(arch, 24, 10, rng);
+    const Tensor x = Tensor::randn({12, 24}, rng);
+    const Tensor probe = Tensor::randn({5, 24}, rng, 1.0f, 2.0f);
+    std::vector<int> y(12);
+    for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 10);
+    for (const std::size_t lanes : {1u, 4u}) {
+      exec::set_num_threads(lanes);
+      const std::vector<float> plain =
+          step_around_inference(init, x, y, nullptr);
+      const std::vector<float> probed =
+          step_around_inference(init, x, y, &probe);
+      ASSERT_EQ(plain.size(), probed.size());
+      EXPECT_EQ(std::memcmp(plain.data(), probed.data(),
+                            plain.size() * sizeof(float)),
+                0)
+          << arch << " at " << lanes << " lanes";
+    }
+  }
+  exec::set_num_threads(1);
+  unsetenv("FEDPKD_THREADS_OVERSUBSCRIBE");
+}
+
 TEST(ModelZoo, GradientCheckTinyModelEndToEnd) {
   // Full classifier (body + head) against finite differences via the CE loss.
   Rng rng(39);
@@ -867,14 +950,15 @@ class RangeProbe final : public Module {
  public:
   explicit RangeProbe(RowRanges* ranges) : ranges_(ranges) {}
 
-  void forward_eval_into(const Tensor& x, Tensor& out) override { out = x; }
-  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) override {
+  void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1,
+                    Tensor* out) override {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ranges_->emplace_back(r0, r1);
     }
     const std::size_t n = x.cols();
-    std::copy(x.data() + r0 * n, x.data() + r1 * n, y_.data() + r0 * n);
+    std::copy(x.data() + r0 * n, x.data() + r1 * n,
+              rows_out(out).data() + r0 * n);
   }
   void backward_rows(const Tensor& gy, std::size_t r0,
                      std::size_t r1) override {
