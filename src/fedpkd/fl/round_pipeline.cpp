@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "fedpkd/comm/payload.hpp"
 #include "fedpkd/comm/validate.hpp"
 #include "fedpkd/exec/thread_pool.hpp"
 #include "fedpkd/fl/durable_io.hpp"
-#include "fedpkd/fl/event_engine.hpp"
 #include "fedpkd/robust/aggregate.hpp"
 #include "fedpkd/robust/anomaly.hpp"
+#include "fedpkd/robust/attack.hpp"
 
 namespace fedpkd::fl {
 
@@ -26,8 +29,76 @@ comm::PrototypesPayload WireBundle::prototypes(std::size_t part) const {
   return comm::decode_prototypes(parts.at(part));
 }
 
-namespace detail {
+namespace {
 
+using PendingUpload = EngineState::PendingUpload;
+
+/// A bundle encoded and sealed for the wire: one comm::sealed_frame per
+/// part, in part order.
+using SealedBundle = std::vector<std::vector<std::byte>>;
+
+/// Encodes and seals every part of `bundle`. Takes the bundle by value, so
+/// the typed payloads are released as soon as they are sealed.
+SealedBundle seal_bundle(PayloadBundle bundle) {
+  SealedBundle frames;
+  for (const StagePayload& part : bundle.parts) {
+    frames.push_back(std::visit(
+        [](const auto& payload) { return comm::sealed_frame(payload); },
+        part));
+  }
+  return frames;
+}
+
+struct BundleResult {
+  std::optional<WireBundle> wire;
+  double latency_ms = 0.0;
+};
+
+/// Transmits every frame of `bundle` from `from` to `to` over the reliable
+/// transport, folding each part's SendReport into `stats`. All parts are
+/// sent even after one is lost for good, so the fault-dice sequence — and
+/// thus every other link's fate — is independent of delivery outcomes;
+/// frames that crossed the wire stay charged on the meter like a real
+/// network. Returns the verified wire bytes only if every part made it
+/// (all-or-nothing), plus the bundle's total simulated latency (parts travel
+/// sequentially over one link). A const bundle (a broadcast or download
+/// sealed once per stage) is shared and each delivery copies its payload
+/// out; a mutable one (an upload, passed as an rvalue) hands its buffers to
+/// the receiver.
+template <typename Bundle>
+BundleResult send_bundle_reliable(comm::Channel& channel, comm::NodeId from,
+                                  comm::NodeId to, Bundle&& bundle,
+                                  RoundFaultStats& stats) {
+  BundleResult result;
+  WireBundle wire;
+  wire.parts.reserve(bundle.size());
+  std::size_t attempts = 0;
+  for (auto& frame : bundle) {
+    comm::SendReport report = channel.send_sealed(from, to, std::move(frame));
+    stats.send_attempts += report.attempts;
+    stats.retries += report.retries;
+    stats.frames_dropped += report.drops;
+    stats.corrupt_frames += report.corrupt_detected;
+    attempts += report.attempts;
+    result.latency_ms += report.latency_ms;
+    if (report.delivered()) wire.parts.push_back(std::move(*report.payload));
+  }
+  if (wire.parts.size() == bundle.size()) {
+    result.wire = std::move(wire);
+  } else if (attempts > 0) {
+    // The transport tried and gave up. An offline endpoint (zero attempts)
+    // is not a transport loss — it is accounted as a crash, not a lost
+    // bundle.
+    ++stats.bundles_lost;
+  }
+  return result;
+}
+
+/// The upload stage up to the wire: before_upload, make_upload per slot on
+/// the lanes (costliest client first), the adversarial injection serially in
+/// slot order on the typed bundles, the restore of `flipped` clients'
+/// labels, then encode + seal per slot on the lanes — so poisoned payloads
+/// are what gets sealed. Slot i of the result is client ctx.active[i]'s.
 std::vector<SealedBundle> seal_uploads(RoundStages& stages, RoundContext& ctx,
                                        const std::vector<Client*>& flipped,
                                        RoundFaultStats& faults) {
@@ -58,6 +129,48 @@ std::vector<SealedBundle> seal_uploads(RoundStages& stages, RoundContext& ctx,
     }
   });
   return sealed;
+}
+
+/// Sends make_download's bundle (sealed once) to every participant serially
+/// in slot order, then digests it on the lanes, largest model first. Clients
+/// whose downlink was lost keep their stale state (same rule as a missed
+/// broadcast). With `track_pulls` a delivery moves the client's staleness
+/// cursor to the current global version. Returns each slot's downlink
+/// latency, or nothing when the algorithm sends nothing down.
+std::vector<double> download_and_apply(RoundStages& stages, RoundContext& ctx,
+                                       RoundOutcome& outcome,
+                                       bool track_pulls) {
+  Federation& fed = ctx.fed;
+  const std::size_t n = ctx.num_active();
+  std::vector<double> latency_ms;
+  std::vector<std::optional<WireBundle>> downlink(n);
+  {
+    StageSpan span(outcome.times.download_seconds);
+    std::optional<PayloadBundle> bundle = stages.make_download(ctx);
+    if (!bundle) return latency_ms;
+    const SealedBundle sealed = seal_bundle(std::move(*bundle));
+    latency_ms.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      BundleResult sent = send_bundle_reliable(
+          fed.channel, comm::kServerId, ctx.active[i]->id, sealed,
+          outcome.faults);
+      latency_ms[i] = sent.latency_ms;
+      if (sent.wire && track_pulls) {
+        fed.engine.set_pulled(static_cast<std::uint32_t>(ctx.active[i]->id),
+                              fed.engine.global_version);
+      }
+      downlink[i] = std::move(sent.wire);
+    }
+  }
+  StageSpan span(outcome.times.apply_seconds);
+  exec::parallel_for_each(
+      claim_order(ctx.active, ClientWork::kDigest),
+      [&](std::size_t i, std::size_t) {
+        if (downlink[i]) {
+          stages.apply_download(ctx, i, *ctx.active[i], *downlink[i]);
+        }
+      });
+  return latency_ms;
 }
 
 std::string format_score(double value) {
@@ -201,14 +314,14 @@ std::vector<Contribution> edge_aggregate(Federation& fed,
 
 /// Prototype-distance anomaly filter (Algorithm 1 generalized from samples
 /// to clients): score the surviving contributions against the cohort's
-/// robust center, exclude median+MAD outliers before the server step. In the
-/// sync pipeline it runs before quorum so excluded adversaries count toward
-/// the quorum shortfall like any other non-contributor; the async engine
-/// applies it per buffer flush.
-void apply_anomaly_filter(Federation& fed,
-                          std::vector<Contribution>& contributions,
-                          RoundOutcome& outcome, RoundFaultStats& faults) {
-  if (!fed.robust.anomaly_filter || contributions.size() < 3) return;
+/// robust center, record each verdict in `outcome.anomaly`, and erase the
+/// median+MAD outliers before the server step. Returns the per-contribution
+/// verdicts (input order), or nothing when the filter is off or the set has
+/// fewer than 3 contributions.
+std::vector<std::uint8_t> apply_anomaly_filter(
+    Federation& fed, std::vector<Contribution>& contributions,
+    RoundOutcome& outcome) {
+  if (!fed.robust.anomaly_filter || contributions.size() < 3) return {};
   std::vector<std::vector<robust::Payload>> decoded(contributions.size());
   for (std::size_t c = 0; c < contributions.size(); ++c) {
     if (auto parts = robust::decode_parts(contributions[c].bundle.parts)) {
@@ -241,58 +354,199 @@ void apply_anomaly_filter(Federation& fed,
     if (decision.excluded[c]) {
       contributions.erase(contributions.begin() +
                           static_cast<std::ptrdiff_t>(c));
-      ++faults.anomaly_excluded;
+      ++outcome.faults.anomaly_excluded;
     }
+  }
+  return decision.excluded;
+}
+
+/// FedBuff's staleness discount w(τ) = 1/(1+τ)^β.
+double staleness_weight(std::uint64_t tau, double beta) {
+  if (tau == 0 || beta == 0.0) return 1.0;
+  return 1.0 / std::pow(1.0 + static_cast<double>(tau), beta);
+}
+
+/// Composes the staleness discount with prototype aggregation: the native
+/// and robust prototype merge paths weight by PrototypeEntry::support, so a
+/// stale upload's prototype parts are re-encoded with supports scaled by w
+/// (floor at 1 — a class the client saw never vanishes entirely). Weights
+/// and logits parts compose through Contribution::weight instead and are
+/// left untouched.
+void discount_prototype_supports(std::vector<std::vector<std::byte>>& parts,
+                                 double w) {
+  if (w >= 1.0) return;
+  for (std::vector<std::byte>& part : parts) {
+    if (comm::peek_kind(part) != comm::PayloadKind::kPrototypes) continue;
+    comm::PrototypesPayload payload = comm::decode_prototypes(part);
+    for (comm::PrototypeEntry& entry : payload.entries) {
+      const double scaled =
+          std::floor(static_cast<double>(entry.support) * w + 0.5);
+      entry.support = static_cast<std::uint32_t>(std::max(1.0, scaled));
+    }
+    part = comm::encode(payload);
   }
 }
 
-}  // namespace detail
+/// True when `survivors` of `participants` meet the policy's quorum:
+/// ceil(fraction * participants), at least 1, when a fraction is set.
+bool quorum_met(const RoundPolicy& policy, std::size_t participants,
+                std::size_t survivors) {
+  if (!(policy.quorum_fraction > 0.0)) return true;
+  const auto need = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(
+             policy.quorum_fraction * static_cast<double>(participants))));
+  return survivors >= need;
+}
 
-namespace {
+/// One server aggregation over `ups` (the barrier batch, the semisync
+/// deadline batch, or the full async buffer), which it consumes. Turns the
+/// uploads into Contributions, runs the anomaly filter and the quorum test
+/// in the mode's order, records the staleness of what survived, then the
+/// optional edge tier and server_step. Returns false when nothing was
+/// aggregated.
+///
+/// A sync batch is this round's uploads in slot order: each contribution
+/// takes its slot and client from ctx.active, so a virtual pool sees no
+/// lookup, and no engine version moves. An event-mode upload may predate
+/// this wake, so its slot is its batch position and its sender is hydrated
+/// by id (serially, batch order) — that keeps FedProto-style server steps,
+/// which read the sender's model dims, working when the sender is outside
+/// this wake's cohort. Async uploads carry the staleness discount in their
+/// weight and prototype supports.
+bool aggregate(RoundStages& stages, RoundContext& ctx,
+               std::vector<PendingUpload>& ups, RoundOutcome& outcome,
+               RoundEngineStats& stats) {
+  Federation& fed = ctx.fed;
+  const RoundPolicy& policy = fed.policy;
+  const bool sync = policy.mode == RoundMode::kSync;
+  const bool discount = policy.mode == RoundMode::kAsync;
+  // Semisync counts the quorum on what arrived; sync counts it after the
+  // anomaly filter, so excluded adversaries count toward the shortfall like
+  // any other non-contributor. Async has no quorum.
+  if (policy.mode == RoundMode::kSemiSync &&
+      !quorum_met(policy, ctx.num_active(), ups.size())) {
+    outcome.faults.quorum_misses = 1;
+    ups.clear();
+    return false;
+  }
+  std::vector<Contribution> contributions;
+  std::vector<std::uint64_t> staleness;
+  contributions.reserve(ups.size());
+  staleness.reserve(ups.size());
+  std::size_t slot = 0;
+  for (std::size_t c = 0; c < ups.size(); ++c) {
+    PendingUpload& up = ups[c];
+    const std::uint64_t tau = fed.engine.global_version - up.trained_version;
+    const double w = discount ? staleness_weight(tau, policy.staleness_beta)
+                              : 1.0;
+    Contribution out;
+    out.node = static_cast<comm::NodeId>(up.client);
+    if (sync) {
+      while (ctx.active[slot]->id != out.node) ++slot;
+      out.slot = slot;
+      out.client = ctx.active[slot];
+    } else {
+      out.slot = c;
+      out.client = &fed.client(up.client);
+    }
+    out.weight = static_cast<float>(static_cast<double>(up.weight) * w);
+    out.bundle.parts = std::move(up.parts);
+    discount_prototype_supports(out.bundle.parts, w);
+    contributions.push_back(std::move(out));
+    staleness.push_back(tau);
+  }
+  ups.clear();
+  const std::vector<std::uint8_t> excluded =
+      apply_anomaly_filter(fed, contributions, outcome);
+  if (sync && !quorum_met(policy, ctx.num_active(), contributions.size())) {
+    outcome.faults.quorum_misses = 1;
+    return false;
+  }
+  // Graceful degradation, one rule for every algorithm: no surviving
+  // contribution means the server learns nothing.
+  if (contributions.empty()) return false;
+  for (std::size_t c = 0; c < staleness.size(); ++c) {
+    if (!excluded.empty() && excluded[c]) continue;
+    const std::size_t bucket =
+        std::min<std::uint64_t>(staleness[c], kStalenessBuckets - 1);
+    ++stats.staleness_hist[bucket];
+    stats.max_staleness =
+        std::max(stats.max_staleness, static_cast<std::size_t>(staleness[c]));
+  }
+  stats.aggregated_uploads += contributions.size();
+  // Hierarchical aggregation tier: edge aggregators pre-combine contiguous
+  // sub-cohorts before the server step. Off by default (edge_aggregators ==
+  // 0); quorum and the anomaly filter already ran, keeping their per-client
+  // semantics.
+  if (fed.edge_aggregators > 1 &&
+      contributions.size() > fed.edge_aggregators) {
+    contributions = edge_aggregate(fed, contributions, outcome.faults);
+  }
+  stages.server_step(ctx, contributions);
+  ++stats.buffer_flushes;
+  if (!sync) {
+    ++fed.engine.global_version;
+    // The nastiest crash window of the event modes: the server model
+    // already advanced, the flushed uploads are gone from memory, and the
+    // round that would checkpoint them has not finished. Resume must
+    // re-derive the whole slice from the previous checkpoint.
+    durable::crash_point("engine:after_flush");
+  }
+  return true;
+}
 
-using detail::BundleResult;
-using detail::SealedBundle;
-using detail::seal_bundle;
-using detail::send_bundle_reliable;
-
-/// The staged body of one round; RoundPipeline::run wraps it with the
-/// client-pool accounting so every exit path reports the hydration delta.
-RoundOutcome run_staged(RoundStages& stages, Federation& fed,
-                        std::size_t round) {
+/// One round in any RoundMode; see RoundPipeline and DESIGN.md §14.
+RoundOutcome run_round(RoundStages& stages, Federation& fed,
+                       std::size_t round) {
+  const RoundPolicy& policy = fed.policy;
+  const bool sync = policy.mode == RoundMode::kSync;
+  const bool async_mode = policy.mode == RoundMode::kAsync;
+  if (policy.mode == RoundMode::kSemiSync &&
+      !std::isfinite(policy.upload_deadline_ms)) {
+    throw std::invalid_argument(
+        "RoundPipeline::run: semisync mode needs a finite upload_deadline_ms "
+        "(the deadline is the aggregation tick)");
+  }
+  if (async_mode && !(policy.wake_interval_ms > 0.0)) {
+    throw std::invalid_argument(
+        "RoundPipeline::run: async mode needs a positive wake_interval_ms");
+  }
+  EngineState& eng = fed.engine;
   RoundOutcome outcome;
   StageTimes& times = outcome.times;
   RoundFaultStats& faults = outcome.faults;
+  RoundEngineStats stats;
+  stats.round_start_ms = eng.now_ms;
   comm::FaultInjector& injector = fed.channel.faults();
   fed.begin_round(round);  // idempotent: keeps a caller-sampled participant set
+
+  // Event modes run one wake slice on the simulated clock: semisync's slice
+  // is the upload deadline (the aggregation tick), async's the wake
+  // interval. A sync round has no slice; it waits for its slowest transfer.
+  const double slice_start = eng.now_ms;
+  const double slice_end =
+      slice_start +
+      (async_mode ? policy.wake_interval_ms : policy.upload_deadline_ms);
+
   // Resolve the participant ids to live clients serially in id order; in a
   // virtual federation begin_round's pin already hydrated them, so these are
-  // warm-set lookups and the references stay valid all round (pins outlive
-  // the round).
+  // warm-set lookups and the references stay valid all round. An async
+  // client whose previous upload is still crossing the wire stays busy
+  // (FedBuff clients run one training at a time) and skips this wake.
   const std::vector<std::size_t> active_ids = fed.active_client_ids();
   std::vector<Client*> participants;
   participants.reserve(active_ids.size());
-  for (std::size_t id : active_ids) participants.push_back(&fed.client(id));
+  for (std::size_t id : active_ids) {
+    if (async_mode && eng.has_in_flight(static_cast<std::uint32_t>(id))) {
+      ++stats.busy_skips;
+      continue;
+    }
+    participants.push_back(&fed.client(id));
+  }
   RoundContext ctx(fed, round, std::move(participants));
   ctx.faults = &faults;
   const std::size_t n = ctx.num_active();
   stages.on_round_start(ctx);
-
-  // Simulated-makespan tally for the sync barrier: the round takes as long
-  // as its slowest broadcast, plus its slowest kept upload (a straggler past
-  // the deadline only costs the deadline — the server stopped waiting), plus
-  // its slowest download. Observability only: it consumes no fault dice and
-  // perturbs no golden trace.
-  RoundEngineStats engine_stats;
-  engine_stats.round_start_ms = fed.engine.now_ms;
-  double broadcast_ms_max = 0.0;
-  double upload_ms_max = 0.0;
-  double download_ms_max = 0.0;
-  const auto finish_clock = [&]() {
-    fed.engine.now_ms +=
-        broadcast_ms_max + upload_ms_max + download_ms_max;
-    engine_stats.round_end_ms = fed.engine.now_ms;
-    outcome.engine = engine_stats;
-  };
 
   // Label-flip adversaries train on involution-flipped labels this round.
   // Flipped in place before local_update and restored (the flip is its own
@@ -309,11 +563,15 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
     }
   }
 
-  // Downlink slot 1: pre-training broadcast (weight-broadcast family).
-  // Serial per-client sends in slot order keep the fault-dice and meter
-  // sequences thread-count independent.
+  // Downlink slot 1: the pre-training broadcast (weight-broadcast family),
+  // sealed once, sent serially in slot order so the fault-dice and meter
+  // sequences are thread-count independent. In async mode a waking client
+  // also pulls the newest knowledge download (distillation family) once the
+  // server has aggregated at least once, and digests it before training.
+  // Per-client downlink latency delays that client's upload arrival.
   faults.clients_crashed +=
       injector.advance(round, comm::RoundStage::kBroadcast);
+  std::vector<double> downlink_ms(n, 0.0);
   {
     StageSpan span(times.download_seconds);
     if (std::optional<PayloadBundle> bundle = stages.make_broadcast(ctx)) {
@@ -322,9 +580,20 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
       for (std::size_t i = 0; i < n; ++i) {
         BundleResult sent = send_bundle_reliable(
             fed.channel, comm::kServerId, ctx.active[i]->id, sealed, faults);
-        broadcast_ms_max = std::max(broadcast_ms_max, sent.latency_ms);
+        downlink_ms[i] += sent.latency_ms;
+        if (sent.wire && !sync) {
+          eng.set_pulled(static_cast<std::uint32_t>(ctx.active[i]->id),
+                         eng.global_version);
+        }
         ctx.broadcast_rx[i] = std::move(sent.wire);
       }
+    }
+  }
+  if (async_mode && eng.global_version > 0) {
+    const std::vector<double> pull_ms =
+        download_and_apply(stages, ctx, outcome, /*track_pulls=*/true);
+    for (std::size_t i = 0; i < pull_ms.size(); ++i) {
+      downlink_ms[i] += pull_ms[i];
     }
   }
 
@@ -344,157 +613,163 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
   durable::crash_point("round:after_train");
 
   // Stage 2: upload. Payload construction fans out per client, costliest
-  // first (detail::seal_uploads); the sends run serially in slot order. A
-  // client whose bundle is lost (any part) simply does not contribute this
-  // round; one slower than the deadline is excluded as a straggler (its
-  // bytes stay charged — the frames did cross the wire, the server just
-  // stopped waiting); one failing validation is rejected.
+  // first (seal_uploads); the sends run serially in slot order. A client
+  // whose bundle is lost (any part) does not contribute; one that misses the
+  // deadline is a straggler (its bytes stay charged — the frames did cross
+  // the wire, the server just stopped waiting). Sync tests the upload
+  // latency alone against the deadline (which may be infinite) and keeps its
+  // uploads in slot order; semisync tests the downlink-plus-upload arrival
+  // against the tick; async has no deadline (late just means stale). Event
+  // uploads enter the persistent in-flight queue; sync ones never touch the
+  // engine state.
   faults.clients_crashed += injector.advance(round, comm::RoundStage::kUpload);
-  std::vector<Contribution> contributions;
+  std::vector<PendingUpload> due;
+  double upload_ms_max = 0.0;
   {
     StageSpan span(times.upload_seconds);
     std::vector<SealedBundle> sealed =
-        detail::seal_uploads(stages, ctx, label_flipped, faults);
-    std::vector<Contribution> candidates;
-    std::vector<double> candidate_latency;
+        seal_uploads(stages, ctx, label_flipped, faults);
     for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<std::uint32_t>(ctx.active[i]->id);
       BundleResult sent =
           send_bundle_reliable(fed.channel, ctx.active[i]->id,
                                comm::kServerId, std::move(sealed[i]), faults);
       if (!sent.wire) continue;
-      upload_ms_max = std::max(
-          upload_ms_max,
-          std::min(sent.latency_ms, fed.policy.upload_deadline_ms));
-      if (sent.latency_ms > fed.policy.upload_deadline_ms) {
+      PendingUpload up;
+      up.client = id;
+      up.latency_ms = sent.latency_ms;
+      up.weight = static_cast<float>(ctx.active[i]->train_data.size());
+      up.parts = std::move(sent.wire->parts);
+      if (sync) {
+        upload_ms_max = std::max(
+            upload_ms_max,
+            std::min(sent.latency_ms, policy.upload_deadline_ms));
+        if (sent.latency_ms > policy.upload_deadline_ms) {
+          ++faults.stragglers_excluded;
+          continue;
+        }
+        up.trained_version = eng.global_version;
+        due.push_back(std::move(up));
+        continue;
+      }
+      up.arrival_ms = slice_start + downlink_ms[i] + sent.latency_ms;
+      if (!async_mode && up.arrival_ms > slice_end) {
         ++faults.stragglers_excluded;
         continue;
       }
-      Contribution candidate;
-      candidate.slot = i;
-      candidate.client = ctx.active[i];
-      candidate.node = ctx.active[i]->id;
-      candidate.weight =
-          static_cast<float>(ctx.active[i]->train_data.size());
-      candidate.bundle = std::move(*sent.wire);
-      candidates.push_back(std::move(candidate));
-      candidate_latency.push_back(sent.latency_ms);
+      up.trained_version = eng.pulled_version(id);
+      up.seq = eng.next_seq++;
+      eng.in_flight.push_back(std::move(up));
     }
-    // Inbound validation, serial in slot order. The first accepted bundle is
-    // the structural reference for the rest; its address is recomputed every
-    // iteration because push_back may reallocate. The adaptive weights-norm
-    // bound is resolved once per round from the history of previously
-    // accepted uploads, so every candidate this round faces the same bound
-    // regardless of acceptance order.
-    comm::ValidationPolicy validation = fed.policy.validation;
-    if (validation.adaptive_weights_norm) {
-      validation.max_weights_norm = fed.norm_tracker.bound_or(
-          validation.max_weights_norm, validation.adaptive_norm_factor,
-          validation.adaptive_min_history);
+  }
+
+  // Event modes: the arrivals up to the slice end, in deterministic event
+  // order (arrival_ms, client id, send sequence) — simulated-time order with
+  // a stable tie-break, independent of thread count and of which round the
+  // upload was sent in.
+  if (!sync) {
+    for (auto it = eng.in_flight.begin(); it != eng.in_flight.end();) {
+      if (it->arrival_ms <= slice_end) {
+        due.push_back(std::move(*it));
+        it = eng.in_flight.erase(it);
+      } else {
+        ++it;
+      }
     }
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
+    std::sort(due.begin(), due.end(),
+              [](const PendingUpload& a, const PendingUpload& b) {
+                return std::tie(a.arrival_ms, a.client, a.seq) <
+                       std::tie(b.arrival_ms, b.client, b.seq);
+              });
+  }
+
+  // Inbound validation in arrival order. The adaptive weights-norm bound is
+  // resolved once per round from the history of previously accepted
+  // uploads, so every upload this round faces the same bound regardless of
+  // acceptance order; the structural reference is the oldest upload in the
+  // current aggregation batch. An async batch is the persistent buffer,
+  // aggregated whenever it holds buffer_k uploads.
+  comm::ValidationPolicy validation = policy.validation;
+  if (validation.adaptive_weights_norm) {
+    validation.max_weights_norm = fed.norm_tracker.bound_or(
+        validation.max_weights_norm, validation.adaptive_norm_factor,
+        validation.adaptive_min_history);
+  }
+  std::vector<PendingUpload> arrived;  // the barrier / deadline batch
+  std::vector<PendingUpload>& batch = async_mode ? eng.buffer : arrived;
+  const std::size_t flush_k =
+      policy.buffer_k > 0
+          ? policy.buffer_k
+          : std::max<std::size_t>(1, (active_ids.size() + 1) / 2);
+  {
+    StageSpan span(times.server_step_seconds);
+    for (PendingUpload& up : due) {
       const std::vector<std::vector<std::byte>>* reference =
-          contributions.empty() ? nullptr : &contributions.front().bundle.parts;
+          batch.empty() ? nullptr : &batch.front().parts;
       if (validation.enabled() &&
-          comm::validate_bundle(candidates[c].bundle.parts, reference,
-                                validation)) {
+          comm::validate_bundle(up.parts, reference, validation)) {
         ++faults.rejected_contributions;
         continue;
       }
-      if (candidate_latency[c] > faults.max_upload_latency_ms) {
-        faults.max_upload_latency_ms = candidate_latency[c];
-      }
-      if (fed.policy.validation.adaptive_weights_norm) {
-        for (const std::vector<std::byte>& part :
-             candidates[c].bundle.parts) {
+      faults.max_upload_latency_ms =
+          std::max(faults.max_upload_latency_ms, up.latency_ms);
+      if (policy.validation.adaptive_weights_norm) {
+        for (const std::vector<std::byte>& part : up.parts) {
           if (comm::peek_kind(part) == comm::PayloadKind::kWeights) {
             fed.norm_tracker.record(comm::weights_part_norm(part));
           }
         }
       }
-      contributions.push_back(std::move(candidates[c]));
-    }
-
-    // Anomaly filter runs before quorum so excluded adversaries count toward
-    // the quorum shortfall like any other non-contributor.
-    detail::apply_anomaly_filter(fed, contributions, outcome, faults);
-  }
-  durable::crash_point("round:after_upload");
-
-  // Quorum: with a configured fraction, fewer survivors than
-  // ceil(fraction * participants) abort the round before the server step.
-  if (fed.policy.quorum_fraction > 0.0) {
-    const auto need = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(fed.policy.quorum_fraction * static_cast<double>(n))));
-    if (contributions.size() < need) {
-      faults.quorum_misses = 1;
-      finish_clock();
-      return outcome;
-    }
-  }
-
-  // Graceful degradation, one rule for every algorithm: no surviving
-  // contribution means the server learns nothing this round — skip the
-  // remaining stages and leave all state untouched.
-  if (contributions.empty()) {
-    finish_clock();
-    return outcome;
-  }
-
-  // Hierarchical aggregation tier: edge aggregators pre-combine contiguous
-  // slot-order sub-cohorts before the server step (runs inside the server
-  // span — it is server-side reduction work). Off by default
-  // (edge_aggregators == 0), so the flat path stays bitwise untouched;
-  // quorum and the anomaly filter already ran, keeping their per-client
-  // semantics.
-  // Stage 3: server aggregation/distillation over surviving contributions.
-  {
-    StageSpan span(times.server_step_seconds);
-    engine_stats.buffer_flushes = 1;
-    engine_stats.aggregated_uploads = contributions.size();
-    engine_stats.staleness_hist[0] = contributions.size();
-    if (fed.edge_aggregators > 1 &&
-        contributions.size() > fed.edge_aggregators) {
-      contributions = detail::edge_aggregate(fed, contributions, faults);
-    }
-    stages.server_step(ctx, contributions);
-  }
-  durable::crash_point("round:after_aggregate");
-
-  // Downlink slot 2: post-server download (distillation family).
-  faults.clients_crashed +=
-      injector.advance(round, comm::RoundStage::kDownload);
-  std::vector<std::optional<WireBundle>> downlink(n);
-  bool have_downlink = false;
-  {
-    StageSpan span(times.download_seconds);
-    if (std::optional<PayloadBundle> bundle = stages.make_download(ctx)) {
-      have_downlink = true;
-      const SealedBundle sealed = seal_bundle(std::move(*bundle));
-      for (std::size_t i = 0; i < n; ++i) {
-        BundleResult sent = send_bundle_reliable(
-            fed.channel, comm::kServerId, ctx.active[i]->id, sealed, faults);
-        download_ms_max = std::max(download_ms_max, sent.latency_ms);
-        downlink[i] = std::move(sent.wire);
+      batch.push_back(std::move(up));
+      if (async_mode && batch.size() >= flush_k) {
+        aggregate(stages, ctx, batch, outcome, stats);
       }
     }
   }
+  durable::crash_point("round:after_upload");
 
-  // Stage 5: apply/digest, client-parallel, largest model first. Clients
-  // whose downlink was lost keep their stale state (same rule as a missed
-  // broadcast).
-  if (have_downlink) {
-    StageSpan span(times.apply_seconds);
-    exec::parallel_for_each(
-        claim_order(ctx.active, ClientWork::kDigest),
-        [&](std::size_t i, std::size_t) {
-          if (downlink[i]) {
-            stages.apply_download(ctx, i, *ctx.active[i], *downlink[i]);
-          }
-        });
+  // Stage 3: the barrier (sync) or the deadline tick (semisync) aggregates
+  // whatever arrived in one server step.
+  if (!async_mode) {
+    StageSpan span(times.server_step_seconds);
+    aggregate(stages, ctx, arrived, outcome, stats);
   }
-  durable::crash_point("round:after_download");
-  finish_clock();
+  const bool aggregated = stats.buffer_flushes > 0;
+  if (aggregated) durable::crash_point("round:after_aggregate");
+
+  // Downlink slot 2: the post-server download (distillation family) and its
+  // digest, after a barrier or tick that aggregated. Async clients pull at
+  // their next wake instead; only the scripted-crash cursor still ticks, so
+  // crash scripts fire identically across modes.
+  double download_ms_max = 0.0;
+  if (aggregated || async_mode) {
+    faults.clients_crashed +=
+        injector.advance(round, comm::RoundStage::kDownload);
+  }
+  if (aggregated && !async_mode) {
+    for (double ms : download_and_apply(stages, ctx, outcome, !sync)) {
+      download_ms_max = std::max(download_ms_max, ms);
+    }
+  }
+  if (aggregated) durable::crash_point("round:after_download");
+
+  // The simulated clock. A sync round takes as long as its slowest
+  // broadcast, plus its slowest kept upload (a straggler only costs the
+  // deadline — the server stopped waiting), plus its slowest download; an
+  // event round ends at its slice end plus the slowest download.
+  if (sync) {
+    double broadcast_ms_max = 0.0;
+    for (double ms : downlink_ms) {
+      broadcast_ms_max = std::max(broadcast_ms_max, ms);
+    }
+    eng.now_ms += broadcast_ms_max + upload_ms_max + download_ms_max;
+  } else {
+    eng.now_ms = slice_end + download_ms_max;
+  }
+  stats.round_end_ms = eng.now_ms;
+  stats.buffered_uploads = eng.buffer.size();
+  stats.inflight_uploads = eng.in_flight.size();
+  outcome.engine = stats;
   return outcome;
 }
 
@@ -502,9 +777,7 @@ RoundOutcome run_staged(RoundStages& stages, Federation& fed,
 
 RoundOutcome RoundPipeline::run(RoundStages& stages, Federation& fed,
                                 std::size_t round) {
-  RoundOutcome outcome = fed.policy.mode == RoundMode::kSync
-                             ? run_staged(stages, fed, round)
-                             : run_event_driven(stages, fed, round);
+  RoundOutcome outcome = run_round(stages, fed, round);
   if (fed.pool.virtual_mode()) {
     // The pool's window spans back to the previous round's end, so work done
     // on this round's behalf before this call — run_federation pins the
