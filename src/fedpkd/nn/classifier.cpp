@@ -45,16 +45,6 @@ void Classifier::check_grad(const Tensor& g, const Tensor& like,
   }
 }
 
-Tensor Classifier::features(const Tensor& x, bool train) {
-  check_input(x, "Classifier::features");
-  draw_init();
-  if (!train) return body_->forward(x, /*train=*/false);
-  body_->prepare(x.rows(), x.cols());
-  body_->forward_rows(x, 0, x.rows());
-  forward_through_head_ = false;
-  return body_->output();
-}
-
 Tensor Classifier::forward(const Tensor& x, bool train) {
   if (!train) {
     draw_init();
@@ -93,12 +83,6 @@ void Classifier::backward(const Tensor& grad_logits,
   }
   backward_rows(grad_logits, grad_features_extra, 0, grad_logits.rows());
   for (const GradJob& job : grad_jobs()) job.owner->accumulate_grad(*job.param);
-}
-
-void Classifier::backward_features(const Tensor& grad_features) {
-  check_grad(grad_features, last_features(),
-             "Classifier::backward_features");
-  body_->backward(grad_features);
 }
 
 void Classifier::prepare(const Tensor& x) {

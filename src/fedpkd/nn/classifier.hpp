@@ -23,7 +23,7 @@ namespace fedpkd::nn {
 ///
 /// A model from make_classifier_deferred holds its initial weights as a
 /// pending init stream until something reads them. The first read
-/// (parameters, grad_jobs, flat_weights, forward, features, prepare) draws
+/// (parameters, grad_jobs, flat_weights, forward, prepare) draws
 /// exactly what make_classifier would have drawn from that stream; a
 /// set_flat_weights that comes first drops the stream undrawn. The
 /// shared-lane passes logits_into/features_into never draw: they throw
@@ -39,11 +39,6 @@ class Classifier {
 
   /// -- Whole-batch passes ----------------------------------------------------
 
-  /// Penultimate-layer features R_w(x): [batch, feature_dim].
-  /// With train == true, runs the body's training pass so backward_features()
-  /// can follow.
-  Tensor features(const Tensor& x, bool train = true);
-
   /// Full forward to logits: [batch, num_classes]. With train == true this is
   /// prepare() plus forward_rows() over every row.
   Tensor forward(const Tensor& x, bool train = true);
@@ -55,7 +50,8 @@ class Classifier {
   /// model at once. `out` must not alias `x`.
   /// Throws std::logic_error while the initial weights are pending.
   void logits_into(const Tensor& x, Tensor& out);
-  /// The features twin of logits_into: R_w(x) written into `out`.
+  /// The features twin of logits_into: the penultimate-layer features
+  /// R_w(x), [batch, feature_dim], written into `out`.
   void features_into(const Tensor& x, Tensor& out);
 
   /// Features of the most recent training pass (the body's output buffer).
@@ -68,10 +64,6 @@ class Classifier {
   /// Requires a prior forward(x, train=true) with `x` still alive.
   void backward(const Tensor& grad_logits,
                 const Tensor* grad_features_extra = nullptr);
-
-  /// Backpropagates a gradient that applies only at the feature layer
-  /// (for feature-only objectives). Requires features(x, train=true).
-  void backward_features(const Tensor& grad_features);
 
   /// -- Row-phased training step (nn::TrainStep drives these) -----------------
 

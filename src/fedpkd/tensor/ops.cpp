@@ -37,30 +37,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return zip(a, b, "add", [](float x, float y) { return x + y; });
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "sub", [](float x, float y) { return x - y; });
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "mul", [](float x, float y) { return x * y; });
-}
-
-Tensor div(const Tensor& a, const Tensor& b) {
-  return zip(a, b, "div", [](float x, float y) { return x / y; });
-}
-
-Tensor scale(const Tensor& a, float s) {
-  Tensor out(a.shape());
-  for (std::size_t i = 0; i < a.numel(); ++i) out[i] = a[i] * s;
-  return out;
-}
-
-Tensor add_scalar(const Tensor& a, float s) {
-  Tensor out(a.shape());
-  for (std::size_t i = 0; i < a.numel(); ++i) out[i] = a[i] + s;
-  return out;
-}
-
 void add_inplace(Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add_inplace");
   for (std::size_t i = 0; i < a.numel(); ++i) a[i] += b[i];
@@ -96,21 +72,6 @@ Tensor add_row_vector(const Tensor& a, const Tensor& v) {
     const float* pa = a.data() + r * n;
     float* po = out.data() + r * n;
     for (std::size_t c = 0; c < n; ++c) po[c] = pa[c] + v[c];
-  }
-  return out;
-}
-
-Tensor mul_row_vector(const Tensor& a, const Tensor& v) {
-  if (a.rank() != 2 || v.rank() != 1 || v.dim(0) != a.cols()) {
-    throw std::invalid_argument("mul_row_vector: need [m,n] and [n], got " +
-                                a.shape_string() + " and " + v.shape_string());
-  }
-  Tensor out(a.shape());
-  const std::size_t m = a.rows(), n = a.cols();
-  for (std::size_t r = 0; r < m; ++r) {
-    const float* pa = a.data() + r * n;
-    float* po = out.data() + r * n;
-    for (std::size_t c = 0; c < n; ++c) po[c] = pa[c] * v[c];
   }
   return out;
 }
@@ -180,23 +141,18 @@ void matmul_transpose_a_accumulate(const Tensor& a, const Tensor& b,
   });
 }
 
-void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out) {
+Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_transpose_b: incompatible shapes " +
                                 a.shape_string() + " x " + b.shape_string() +
                                 "^T");
   }
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  out.ensure_shape({m, n});
+  Tensor out({m, n});
   dispatch_rows(m, k, n, [&](std::size_t row_begin, std::size_t row_end) {
     kernels::matmul_tb_rows(a.data(), b.data(), out.data(), k, n, row_begin,
                             row_end);
   });
-}
-
-Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
-  Tensor out;
-  matmul_transpose_b_into(a, b, out);
   return out;
 }
 
@@ -231,16 +187,6 @@ float max(const Tensor& a) {
   return *std::max_element(a.flat().begin(), a.flat().end());
 }
 
-Tensor sum_rows(const Tensor& a) {
-  const std::size_t m = a.rows(), n = a.cols();
-  Tensor out({n});
-  for (std::size_t r = 0; r < m; ++r) {
-    const float* pa = a.data() + r * n;
-    for (std::size_t c = 0; c < n; ++c) out[c] += pa[c];
-  }
-  return out;
-}
-
 void sum_rows_accumulate(const Tensor& a, Tensor& out) {
   const std::size_t m = a.rows(), n = a.cols();
   if (out.rank() != 1 || out.dim(0) != n) {
@@ -249,7 +195,7 @@ void sum_rows_accumulate(const Tensor& a, Tensor& out) {
   }
   // Column sums are fully reduced into scratch first, then added to `out`
   // once per element — accumulating into `out` directly would change the
-  // float op order vs. add_inplace(out, sum_rows(a)).
+  // float op order.
   Workspace::Scope scope(Workspace::per_thread());
   std::span<float> colsum = scope.take(n);
   std::fill(colsum.begin(), colsum.end(), 0.0f);
@@ -258,13 +204,6 @@ void sum_rows_accumulate(const Tensor& a, Tensor& out) {
     for (std::size_t c = 0; c < n; ++c) colsum[c] += pa[c];
   }
   for (std::size_t c = 0; c < n; ++c) out[c] += colsum[c];
-}
-
-Tensor mean_rows(const Tensor& a) {
-  if (a.rows() == 0) throw std::invalid_argument("mean_rows: zero rows");
-  Tensor out = sum_rows(a);
-  scale_inplace(out, 1.0f / static_cast<float>(a.rows()));
-  return out;
 }
 
 std::vector<int> argmax_rows(const Tensor& a) {
@@ -295,14 +234,6 @@ Tensor variance_per_row(const Tensor& a) {
     out[r] = static_cast<float>(var / static_cast<double>(n));
   }
   return out;
-}
-
-float squared_norm(const Tensor& a) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    acc += static_cast<double>(a[i]) * a[i];
-  }
-  return static_cast<float>(acc);
 }
 
 float l2_distance(const Tensor& a, const Tensor& b) {

@@ -9,18 +9,13 @@
 namespace fedpkd::tensor {
 
 /// Free-function arithmetic on Tensors. Binary ops require identical shapes
-/// (no implicit broadcasting other than the *_rows variants) and throw
+/// (no implicit broadcasting other than add_row_vector) and throw
 /// std::invalid_argument on mismatch. All results are freshly allocated;
 /// *_inplace variants mutate their first argument.
 
 /// -- Elementwise ------------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor div(const Tensor& a, const Tensor& b);
-Tensor scale(const Tensor& a, float s);
-Tensor add_scalar(const Tensor& a, float s);
 
 void add_inplace(Tensor& a, const Tensor& b);
 void sub_inplace(Tensor& a, const Tensor& b);
@@ -35,14 +30,10 @@ void scale_add_inplace(Tensor& a, float sa, const Tensor& b, float sb);
 /// -- Broadcast over rows (rank-2 a, rank-1 v of length a.cols()) ------------
 
 Tensor add_row_vector(const Tensor& a, const Tensor& v);
-Tensor mul_row_vector(const Tensor& a, const Tensor& v);
 
 /// -- Linear algebra ----------------------------------------------------------
 
-/// All GEMM variants run the register-blocked kernels in kernels.hpp; the
-/// `_into` / `_accumulate` forms write into a caller-provided tensor
-/// (ensure_shape'd to fit) so hot loops reuse buffers instead of allocating.
-/// Bitwise, `X_into(a, b, out)` equals `out = X(a, b)` for every variant.
+/// All GEMM variants run the register-blocked kernels in kernels.hpp.
 
 /// C = A x B for rank-2 A [m,k] and B [k,n].
 Tensor matmul(const Tensor& a, const Tensor& b);
@@ -54,7 +45,6 @@ void matmul_transpose_a_accumulate(const Tensor& a, const Tensor& b,
                                    Tensor& out);
 /// C = A x B^T for rank-2 A [m,k] and B [n,k] (used for input gradients).
 Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
-void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out);
 /// Rank-2 transpose (tiled; see kernels.hpp).
 Tensor transpose(const Tensor& a);
 
@@ -64,14 +54,10 @@ float sum(const Tensor& a);
 float mean(const Tensor& a);
 float min(const Tensor& a);
 float max(const Tensor& a);
-/// Column sums of a rank-2 tensor -> rank-1 of length cols().
-Tensor sum_rows(const Tensor& a);
-/// out += column sums of `a` (rank-1 out of length cols()). The column sums
-/// are fully reduced into workspace scratch first and added to `out` once, so
-/// this rounds exactly like add_inplace(out, sum_rows(a)).
+/// out += column sums of `a` (rank-1 out of length cols()). Each column is
+/// summed in float in row order into workspace scratch first and added to
+/// `out` once, so the result does not depend on what `out` held.
 void sum_rows_accumulate(const Tensor& a, Tensor& out);
-/// Column means of a rank-2 tensor -> rank-1 of length cols().
-Tensor mean_rows(const Tensor& a);
 /// Per-row argmax of a rank-2 tensor (ties -> lowest index).
 std::vector<int> argmax_rows(const Tensor& a);
 /// Per-row (population) variance of a rank-2 tensor -> rank-1 of length rows().
@@ -80,8 +66,6 @@ Tensor variance_per_row(const Tensor& a);
 
 /// -- Distances & norms ---------------------------------------------------------
 
-/// Squared L2 norm of the whole tensor.
-float squared_norm(const Tensor& a);
 /// Euclidean (L2) distance between two same-shape tensors.
 float l2_distance(const Tensor& a, const Tensor& b);
 /// Squared L2 distance between row r of a rank-2 tensor and a rank-1 vector.

@@ -103,7 +103,7 @@ Tensor tensor_of(std::size_t rows, std::size_t cols,
 }
 
 TEST(BlockedKernels, MatmulTransposeBMatchesNaiveBitwise) {
-  // matmul_transpose_b_into transposes B and runs the matmul tiles; with
+  // matmul_transpose_b transposes B and runs the matmul tiles; with
   // finite inputs that is the naive dot-product loop bit for bit, at any
   // lane count (at 4 lanes the row chunks of {32, 96, 96} end in partial
   // row tiles).
@@ -114,9 +114,8 @@ TEST(BlockedKernels, MatmulTransposeBMatchesNaiveBitwise) {
         const auto a = random_values(s.m * s.k, 53 + s.m, zeros);
         // B is stored [n, k] for the transpose-B product.
         const auto b = random_values(s.n * s.k, 61 + s.k, zeros);
-        Tensor out;
-        matmul_transpose_b_into(tensor_of(s.m, s.k, a), tensor_of(s.n, s.k, b),
-                                out);
+        const Tensor out =
+            matmul_transpose_b(tensor_of(s.m, s.k, a), tensor_of(s.n, s.k, b));
         std::vector<float> naive(s.m * s.n, -2.0f);
         kernels::matmul_tb_rows_naive(a.data(), b.data(), naive.data(), s.k,
                                       s.n, 0, s.m);
@@ -141,8 +140,8 @@ TEST(BlockedKernels, MatmulTransposeBSkipsZeroAAgainstNonFiniteB) {
     auto b = random_values(n * k, 173, false);
     a[2 * k + 5] = 0.0f;  // row 2 skips kk = 5
     b[7 * k + 5] = bad;   // column 7 is non-finite at kk = 5
-    Tensor out;
-    matmul_transpose_b_into(tensor_of(m, k, a), tensor_of(n, k, b), out);
+    const Tensor out =
+        matmul_transpose_b(tensor_of(m, k, a), tensor_of(n, k, b));
     // Reference: the naive loop with the skipped product removed.
     auto b_clean = b;
     b_clean[7 * k + 5] = 0.0f;

@@ -152,18 +152,12 @@ TEST(Ops, AddSubMulDiv) {
   Tensor a({2}, {4, 9});
   Tensor b({2}, {2, 3});
   EXPECT_EQ(add(a, b)[0], 6.0f);
-  EXPECT_EQ(sub(a, b)[1], 6.0f);
-  EXPECT_EQ(mul(a, b)[0], 8.0f);
-  EXPECT_EQ(div(a, b)[1], 3.0f);
 }
 
 TEST(Ops, BinaryOpsRejectShapeMismatch) {
   Tensor a = Tensor::zeros({2});
   Tensor b = Tensor::zeros({3});
   EXPECT_THROW(add(a, b), std::invalid_argument);
-  EXPECT_THROW(sub(a, b), std::invalid_argument);
-  EXPECT_THROW(mul(a, b), std::invalid_argument);
-  EXPECT_THROW(div(a, b), std::invalid_argument);
   EXPECT_THROW(add_inplace(a, b), std::invalid_argument);
   EXPECT_THROW(axpy_inplace(a, 1.0f, b), std::invalid_argument);
 }
@@ -176,12 +170,6 @@ TEST(Ops, AxpyInplace) {
   EXPECT_EQ(a[1], 3.0f);
 }
 
-TEST(Ops, ScaleAndAddScalar) {
-  Tensor a({2}, {1, -2});
-  EXPECT_EQ(scale(a, 3.0f)[1], -6.0f);
-  EXPECT_EQ(add_scalar(a, 1.0f)[1], -1.0f);
-}
-
 TEST(Ops, AddRowVectorBroadcasts) {
   Tensor a({2, 2}, {1, 2, 3, 4});
   Tensor v({2}, {10, 20});
@@ -190,14 +178,6 @@ TEST(Ops, AddRowVectorBroadcasts) {
   EXPECT_EQ(r.at(1, 1), 24.0f);
   Tensor bad({3}, {1, 2, 3});
   EXPECT_THROW(add_row_vector(a, bad), std::invalid_argument);
-}
-
-TEST(Ops, MulRowVectorBroadcasts) {
-  Tensor a({2, 2}, {1, 2, 3, 4});
-  Tensor v({2}, {2, 3});
-  Tensor r = mul_row_vector(a, v);
-  EXPECT_EQ(r.at(0, 1), 6.0f);
-  EXPECT_EQ(r.at(1, 0), 6.0f);
 }
 
 TEST(Ops, MatmulSmallKnown) {
@@ -242,11 +222,6 @@ TEST(Ops, Reductions) {
   EXPECT_FLOAT_EQ(mean(a), 2.5f);
   EXPECT_FLOAT_EQ(min(a), 1.0f);
   EXPECT_FLOAT_EQ(max(a), 4.0f);
-  Tensor cs = sum_rows(a);
-  EXPECT_FLOAT_EQ(cs[0], 4.0f);
-  EXPECT_FLOAT_EQ(cs[1], 6.0f);
-  Tensor cm = mean_rows(a);
-  EXPECT_FLOAT_EQ(cm[0], 2.0f);
 }
 
 TEST(Ops, EmptyReductionsThrow) {
@@ -280,7 +255,6 @@ TEST(Ops, VarianceHigherForPeakedLogits) {
 
 TEST(Ops, NormsAndDistances) {
   Tensor a({3}, {3, 4, 0});
-  EXPECT_FLOAT_EQ(squared_norm(a), 25.0f);
   Tensor b({3}, {0, 0, 0});
   EXPECT_FLOAT_EQ(l2_distance(a, b), 5.0f);
   Tensor m({2, 3}, {3, 4, 0, 1, 1, 1});
