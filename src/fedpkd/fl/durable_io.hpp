@@ -33,7 +33,7 @@
 ///    mirroring comm::FaultInjector, so every failure mode above is testable
 ///    without root or a real full disk.
 ///  * crash points — a registry of named process-abort sites threaded
-///    through the save path, the round pipeline, and the event engine
+///    through the save path and the round pipeline
 ///    (`FEDPKD_CRASH_AT=save:pre_rename`), the deterministic "kill -9 right
 ///    here" the crash-at-every-point sweep is built on.
 

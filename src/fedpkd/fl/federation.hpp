@@ -205,7 +205,7 @@ struct Federation {
   /// History of accepted weights-upload norms feeding the adaptive
   /// validation bound (policy.validation.adaptive_weights_norm).
   comm::WeightNormTracker norm_tracker;
-  /// The event engine's persistent state: simulated clock, global version,
+  /// The round engine's persistent state: simulated clock, global version,
   /// in-flight uploads, aggregation buffer, staleness cursors. Serialized in
   /// checkpoint v5 so async runs resume bitwise mid-buffer.
   EngineState engine;

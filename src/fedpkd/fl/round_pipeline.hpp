@@ -25,10 +25,12 @@ namespace fedpkd::fl {
 ///    the federation's FaultPlan — a stage implementation never touches the
 ///    channel. A broadcast or download is sealed once per stage and shared
 ///    by every recipient; uploads are sealed on the lanes;
-///  * round discipline under faults (Federation::policy): uploads slower
-///    than the deadline are excluded as stragglers, surviving contributions
-///    are validated against the poisoned-update policy, and a round below
-///    quorum is skipped gracefully;
+///  * round discipline under faults (Federation::policy): the same round
+///    function runs the sync barrier, the semisync deadline tick and async
+///    buffering; uploads slower than the deadline are excluded as
+///    stragglers, surviving contributions are validated against the
+///    poisoned-update policy, and a round below quorum is skipped
+///    gracefully;
 ///  * graceful degradation, one rule for all algorithms: a lost downlink
 ///    bundle leaves that client on its stale state, a lost uplink bundle
 ///    excludes that client from server_step, and a round with zero surviving
@@ -107,7 +109,9 @@ struct RoundContext {
 
 /// One surviving uplink contribution, as the server sees it.
 struct Contribution {
-  std::size_t slot = 0;        // index into RoundContext::active
+  /// Index into RoundContext::active in sync; the position in the
+  /// aggregation batch in semisync and async.
+  std::size_t slot = 0;
   Client* client = nullptr;    // sender (for feature dims etc.)
   /// The sender's node id. In async mode an upload can outlive its slot (it
   /// aggregates rounds after it was sent), so server-side records key on
@@ -161,8 +165,9 @@ class RoundStages {
                                     Client& client) = 0;
 
   /// Stage 3 — aggregation/distillation over the surviving contributions
-  /// (slot order). Never called with an empty list: a fully-dropped round
-  /// skips stages 3-5 and leaves the server untouched.
+  /// (slot order in sync, arrival order in semisync and async). Never
+  /// called with an empty list: a fully-dropped round skips stages 3-5 and
+  /// leaves the server untouched.
   virtual void server_step(RoundContext& ctx,
                            std::vector<Contribution>& contributions) = 0;
 
@@ -204,14 +209,19 @@ struct RoundOutcome {
   std::optional<RoundEngineStats> engine;
 };
 
-/// The staged round executor. Dispatches on fed.policy.mode: kSync runs the
-/// original barrier body (bitwise-preserved), kSemiSync and kAsync run the
-/// event-driven engine (fl/event_engine.hpp) on the same stage hooks.
+/// The staged round executor. Every RoundMode runs through one round
+/// function on the same stage hooks; fed.policy.mode decides only the
+/// straggler test, the arrival order, the order of the anomaly filter and
+/// quorum, the engine bookkeeping and the simulated clock (DESIGN.md §14).
+/// kSync is the barrier, kSemiSync the deadline tick, kAsync FedBuff-style
+/// buffering.
 class RoundPipeline {
  public:
   /// Executes one full round of `stages` against `fed` (begins the round,
   /// sampling participants, if the caller has not already) and returns the
-  /// per-stage wall-clock spans plus this round's fault counters.
+  /// per-stage wall-clock spans plus this round's fault counters. Throws
+  /// std::invalid_argument on an unusable policy (semisync without a finite
+  /// deadline, async without a positive wake interval).
   RoundOutcome run(RoundStages& stages, Federation& fed, std::size_t round);
 };
 
